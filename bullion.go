@@ -147,11 +147,15 @@
 //
 // ScanStats reports the effect: ReadOps (physical reads issued),
 // CoalescedBytes (bytes fetched by multi-column reads), and WastedBytes
-// (gap bytes read through). ScanOptions.DisableCoalesce pins the
-// per-column read path; both paths return identical batches. Byte-string
-// columns decode zero-copy out of the read buffers, so projections that
-// include them keep the buffers alive for the batch's lifetime instead of
-// pooling them.
+// (gap bytes read through). Byte-string columns decode zero-copy out of
+// the read buffers, so projections that include them keep the buffers
+// alive for the batch's lifetime instead of pooling them.
+//
+// The scanner is the only read engine. Project, ProjectEvolved,
+// ReadColumn and ReadRows run on it as a single-batch scan of the
+// requested row range, so they get the same coalesced reads: a
+// hot-reordered Project costs one read per row group, and a ReadRows over
+// a presorted quality prefix costs one read per row group it touches.
 //
 // Decode kernels. Once the bytes are in memory, scans are decode-bound,
 // so the hot inner loops decode word-at-a-time rather than value-at-a-
@@ -326,9 +330,7 @@
 //   - open backend handles, a refcounted LRU bounding live file
 //     descriptors and HTTP HEAD+ETag pins across Dataset handles;
 //   - a segmented-LRU byte cache of coalesced page runs in front of every
-//     member read, with per-dataset budgets (DatasetOptions.CacheBytes)
-//     and an optional materialize mode (DatasetOptions.PinHotMembers)
-//     that pins small hot members wholly in RAM.
+//     member read, with per-dataset budgets (DatasetOptions.CacheBytes).
 //
 // The net effect is that a warm selective re-scan touches the backend
 // zero times for metadata and only for uncached data runs, which on a
@@ -672,13 +674,6 @@ func (f *File) Project(names ...string) (*Batch, error) { return f.cf.Project(na
 // batches in parallel while preserving file order. See the package
 // Quickstart for the iteration loop; Next returns io.EOF at end of scan.
 func (f *File) Scan(opts ScanOptions) (*Scanner, error) { return f.cf.Scan(opts) }
-
-// ProjectCoalesced reads the named columns, bundling physically adjacent
-// column chunks into single reads of up to core.CoalesceLimit bytes — the
-// §2.5 column-reordering + coalesced-read path for hot feature sets.
-func (f *File) ProjectCoalesced(names ...string) (*Batch, error) {
-	return f.cf.ProjectCoalesced(names...)
-}
 
 // ReorderFields moves the named hot columns to the front of the schema so
 // their chunks are written adjacent within every row group (§2.5 column

@@ -16,8 +16,7 @@
 //     re-open entirely — critical for HTTP backends where open is a
 //     HEAD round-trip — while the LRU bounds live file handles.
 //   - Pages: a segmented-LRU (2Q) byte cache over coalesced page runs,
-//     with per-root byte budgets and a materialize mode that pins whole
-//     small members in RAM.
+//     with per-root byte budgets.
 //
 // A zero Cache value is not usable; construct with New or use the
 // process-wide Shared instance.
@@ -52,7 +51,7 @@ type Options struct {
 	// referenced by a lease are not evictable, so the bound is soft
 	// under heavy concurrency.
 	HandleEntries int
-	// PageBytes bounds the page/run byte tier, pinned members included.
+	// PageBytes bounds the page/run byte tier.
 	PageBytes int64
 }
 
@@ -85,12 +84,10 @@ type Stats struct {
 	// Invalidations counts Invalidate calls that dropped at least one
 	// entry.
 	Invalidations int64
-	// Sizes right now: artifact entries, open handles, page-tier bytes
-	// (PinnedBytes of which are materialized members).
+	// Sizes right now: artifact entries, open handles, page-tier bytes.
 	FooterEntries int
 	HandlesOpen   int
 	PageBytes     int64
-	PinnedBytes   int64
 }
 
 // Cache is the three-tier artifact cache. All methods are safe for
@@ -116,10 +113,8 @@ type Cache struct {
 	runs       map[runKey]*runEntry
 	probation  *list.List // of *runEntry
 	protected  *list.List // of *runEntry
-	pageBytes  int64      // all page-tier bytes, pins included
+	pageBytes  int64
 	protBytes  int64
-	pins       map[Key][]byte
-	pinBytes   int64
 	rootBytes  map[string]int64
 	rootBudget map[string]int64
 }
@@ -145,7 +140,6 @@ func New(opts Options) *Cache {
 		runs:       map[runKey]*runEntry{},
 		probation:  list.New(),
 		protected:  list.New(),
-		pins:       map[Key][]byte{},
 		rootBytes:  map[string]int64{},
 		rootBudget: map[string]int64{},
 	}
@@ -182,7 +176,6 @@ func (c *Cache) Stats() Stats {
 	c.hMu.Unlock()
 	c.pMu.Lock()
 	s.PageBytes = c.pageBytes
-	s.PinnedBytes = c.pinBytes
 	c.pMu.Unlock()
 	return s
 }
@@ -427,16 +420,6 @@ func (c *Cache) Invalidate(root, name string) {
 			dropped = true
 		}
 	}
-	for k, b := range c.pins {
-		if k.Root == root && k.Name == name {
-			delete(c.pins, k)
-			n := int64(len(b))
-			c.pageBytes -= n
-			c.pinBytes -= n
-			c.rootBytes[k.Root] -= n
-			dropped = true
-		}
-	}
 	c.pMu.Unlock()
 	if dropped {
 		atomic.AddInt64(&c.invalidations, 1)
@@ -477,8 +460,7 @@ func (c *Cache) Close() error {
 	c.runs = map[runKey]*runEntry{}
 	c.probation.Init()
 	c.protected.Init()
-	c.pins = map[Key][]byte{}
-	c.pageBytes, c.protBytes, c.pinBytes = 0, 0, 0
+	c.pageBytes, c.protBytes = 0, 0
 	c.rootBytes = map[string]int64{}
 	c.pMu.Unlock()
 	return first

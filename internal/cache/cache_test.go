@@ -239,11 +239,11 @@ func TestInvalidateDropsAllTiers(t *testing.T) {
 	r := c.Reader(k, f, nil)
 	buf := make([]byte, 16)
 	r.ReadAt(buf, 0)
-	c.Materialize(key("m", "v2"), f, 64)
+	c.Reader(key("m", "v2"), f, nil).ReadAt(buf, 16)
 
 	c.Invalidate("root", "m") // all versions of "m" across all tiers
 	st := c.Stats()
-	if st.FooterEntries != 0 || st.HandlesOpen != 0 || st.PageBytes != 0 || st.PinnedBytes != 0 {
+	if st.FooterEntries != 0 || st.HandlesOpen != 0 || st.PageBytes != 0 {
 		t.Fatalf("entries survive invalidation: %+v", st)
 	}
 	if !f.closed.Load() {
@@ -371,53 +371,6 @@ func TestRootBudget(t *testing.T) {
 	r2.ReadAt(make([]byte, 512), 0)
 	if f.reads.Load() != base {
 		t.Fatal("unbudgeted root failed to cache")
-	}
-}
-
-func TestMaterializePin(t *testing.T) {
-	c := New(Options{PageBytes: 1 << 20})
-	f := &fakeFile{data: bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 128)} // 1 KiB
-	k := key("m", "v")
-	ok, err := c.Materialize(k, f, int64(len(f.data)))
-	if err != nil || !ok {
-		t.Fatalf("Materialize = (%v, %v)", ok, err)
-	}
-	base := f.reads.Load()
-	r := c.Reader(k, f, nil)
-	// Any offset/length hits the pin, including EOF shapes.
-	p := make([]byte, 100)
-	if n, err := r.ReadAt(p, 37); n != 100 || err != nil {
-		t.Fatalf("pinned read = (%d, %v)", n, err)
-	}
-	if !bytes.Equal(p, f.data[37:137]) {
-		t.Fatal("pinned bytes differ")
-	}
-	if n, err := r.ReadAt(make([]byte, 100), 1000); n != 24 || err != io.EOF {
-		t.Fatalf("pinned overlap-EOF = (%d, %v), want (24, EOF)", n, err)
-	}
-	if n, err := r.ReadAt(make([]byte, 4), 5000); n != 0 || err != io.EOF {
-		t.Fatalf("pinned past-EOF = (%d, %v), want (0, EOF)", n, err)
-	}
-	if f.reads.Load() != base {
-		t.Fatal("pinned member read went to the backend")
-	}
-	if again, err := c.Materialize(k, f, int64(len(f.data))); err != nil || !again {
-		t.Fatal("re-materialize of a pinned key should be a cheap true")
-	}
-	if st := c.Stats(); st.PinnedBytes != 1024 {
-		t.Fatalf("PinnedBytes = %d, want 1024", st.PinnedBytes)
-	}
-}
-
-func TestMaterializeRespectsBudgets(t *testing.T) {
-	c := New(Options{PageBytes: 512})
-	f := &fakeFile{data: make([]byte, 1024)}
-	if ok, err := c.Materialize(key("m", "v"), f, 1024); ok || err != nil {
-		t.Fatalf("oversized pin accepted: (%v, %v)", ok, err)
-	}
-	c.SetRootBudget("root", 100)
-	if ok, _ := c.Materialize(key("m", "v"), f, 256); ok {
-		t.Fatal("pin over root budget accepted")
 	}
 }
 

@@ -97,7 +97,7 @@ func TestReorderFields(t *testing.T) {
 func TestProjectCoalescedCorrectness(t *testing.T) {
 	f, _, want := wideFixture(t, nil)
 	names := []string{"feat_05", "feat_06", "feat_07", "feat_30"}
-	batch, err := f.ProjectCoalesced(names...)
+	batch, err := f.Project(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,19 +112,22 @@ func TestProjectCoalescedCorrectness(t *testing.T) {
 }
 
 // Adjacent chunks must coalesce into fewer physical reads than the naive
-// per-column projection.
+// per-column projection (one Project call per column, so no two columns
+// can share a read).
 func TestCoalescedFewerReads(t *testing.T) {
 	hot := []string{"feat_10", "feat_20", "feat_30", "feat_35"}
 	f, c, _ := wideFixture(t, hot)
 
 	before := c.Snapshot()
-	if _, err := f.Project(hot...); err != nil {
-		t.Fatal(err)
+	for _, name := range hot {
+		if _, err := f.Project(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	naive := c.Snapshot().Sub(before)
 
 	before = c.Snapshot()
-	if _, err := f.ProjectCoalesced(hot...); err != nil {
+	if _, err := f.Project(hot...); err != nil {
 		t.Fatal(err)
 	}
 	coalesced := c.Snapshot().Sub(before)
@@ -150,13 +153,13 @@ func TestScatteredHotSetReadsMore(t *testing.T) {
 	fOrdered, co, _ := wideFixture(t, hot)
 
 	before := cs.Snapshot()
-	if _, err := fScattered.ProjectCoalesced(hot...); err != nil {
+	if _, err := fScattered.Project(hot...); err != nil {
 		t.Fatal(err)
 	}
 	scattered := cs.Snapshot().Sub(before)
 
 	before = co.Snapshot()
-	if _, err := fOrdered.ProjectCoalesced(hot...); err != nil {
+	if _, err := fOrdered.Project(hot...); err != nil {
 		t.Fatal(err)
 	}
 	ordered := co.Snapshot().Sub(before)
@@ -174,7 +177,7 @@ func TestCoalescedWithDeletions(t *testing.T) {
 	if err := f.DeleteRows(mf, []uint64{5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := f.ProjectCoalesced("feat_00")
+	batch, err := f.Project("feat_00")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestCoalescedWithDeletions(t *testing.T) {
 
 func TestCoalescedUnknownColumn(t *testing.T) {
 	f, _, _ := wideFixture(t, nil)
-	if _, err := f.ProjectCoalesced("nope"); err == nil {
+	if _, err := f.Project("nope"); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }

@@ -344,57 +344,61 @@ func (f *File) rewriteFooter(w io.WriterAt, ftr *footer.Footer) error {
 }
 
 // RewriteWithoutRows is the legacy baseline the paper contrasts against:
-// copy the entire file, dropping the given rows. It reads every page and
-// writes a complete new file to out, returning the new file's
-// WrittenStats so commit paths (dataset compaction) can lift manifest
-// entries without reopening what they just wrote. Used by the deletion
-// experiment to measure the I/O cost Level 2 avoids.
+// copy the entire file, dropping the given rows. It streams every live row
+// through a full scan into a new file written to out, returning the new
+// file's WrittenStats so commit paths (dataset compaction) can lift
+// manifest entries without reopening what they just wrote. Used by the
+// deletion experiment to measure the I/O cost Level 2 avoids.
 func (f *File) RewriteWithoutRows(out io.Writer, rows []uint64, opts *Options) (*WrittenStats, error) {
-	del := map[uint64]bool{}
+	drop := make(map[uint64]bool, len(rows))
 	for _, r := range rows {
-		del[r] = true
+		drop[r] = true
 	}
 	schema := f.Schema()
 	w, err := NewWriter(out, schema, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Read group by group, filter, and write.
-	var rowStart uint64
-	for g := 0; g < f.view.NumGroups(); g++ {
-		cols := make([]ColumnData, len(schema.Fields))
-		var n int
-		for c := range schema.Fields {
-			data, err := f.ReadChunk(g, c)
-			if err != nil {
-				return nil, err
-			}
-			cols[c] = data
-			n = data.Len()
+	cols, _ := resolveProjection(f, nil)
+	s, err := newScanner(f, cols, ScanOptions{})
+	if err != nil {
+		w.teardown()
+		return nil, err
+	}
+	defer s.Close()
+	for {
+		b, err := s.Next()
+		if err == io.EOF {
+			break
 		}
-		keep := make([]int, 0, n)
-		// ReadChunk already filters previously-deleted rows; filter the new
-		// set against the live row ids.
-		live := make([]uint64, 0, n)
-		groupRows := f.GroupRowCounts()[g]
-		for i := 0; i < groupRows; i++ {
-			if !f.view.RowDeleted(rowStart + uint64(i)) {
-				live = append(live, rowStart+uint64(i))
-			}
-		}
-		for i, lr := range live {
-			if !del[lr] {
-				keep = append(keep, i)
-			}
-		}
-		for c := range cols {
-			cols[c] = permuteColumn(cols[c], keep)
-		}
-		batch := &Batch{Schema: schema, Columns: cols}
-		if err := w.Write(batch); err != nil {
+		if err != nil {
+			w.teardown()
 			return nil, err
 		}
-		rowStart += uint64(groupRows)
+		if len(drop) > 0 {
+			// The batch holds its span's live rows in row order; keep those
+			// not being dropped.
+			span := s.batches[s.next-1]
+			keep := make([]int, 0, b.NumRows())
+			i := 0
+			for r := span.lo; r < span.hi; r++ {
+				if f.view.RowDeleted(r) {
+					continue
+				}
+				if !drop[r] {
+					keep = append(keep, i)
+				}
+				i++
+			}
+			if len(keep) < i {
+				for c := range b.Columns {
+					b.Columns[c] = permuteColumn(b.Columns[c], keep)
+				}
+			}
+		}
+		if err := w.Write(&Batch{Schema: schema, Columns: b.Columns}); err != nil {
+			return nil, err
+		}
 	}
 	if err := w.Close(); err != nil {
 		return nil, err

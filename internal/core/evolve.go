@@ -15,12 +15,12 @@ import "fmt"
 // requested type. This is the read-side half of additive schema evolution;
 // dropping a feature is simply not requesting it.
 func (f *File) ProjectEvolved(fields []Field) (*Batch, error) {
-	nRows := int(f.NumLiveRows())
-	cols := make([]ColumnData, len(fields))
+	// Stored fields are read together in one projection; slot maps each
+	// back to its requested position.
+	var stored, slot []int
 	for i, want := range fields {
 		ci, ok := f.LookupColumn(want.Name)
 		if !ok {
-			cols[i] = defaultColumn(want, nRows)
 			continue
 		}
 		have := f.FieldByIndex(ci)
@@ -28,14 +28,24 @@ func (f *File) ProjectEvolved(fields []Field) (*Batch, error) {
 			return nil, fmt.Errorf("core: column %q evolved incompatibly: stored %v (nullable=%v), requested %v (nullable=%v)",
 				want.Name, have.Type, have.Nullable, want.Type, want.Nullable)
 		}
-		data, err := f.ReadColumnByIndex(ci)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = data
+		stored = append(stored, ci)
+		slot = append(slot, i)
 	}
-	schema := &Schema{Fields: fields}
-	return &Batch{Schema: schema, Columns: cols}, nil
+	read, err := f.readRange(stored, 0, f.NumRows())
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]ColumnData, len(fields))
+	for j, i := range slot {
+		cols[i] = read.Columns[j]
+	}
+	nRows := int(f.NumLiveRows())
+	for i, want := range fields {
+		if cols[i] == nil {
+			cols[i] = defaultColumn(want, nRows)
+		}
+	}
+	return &Batch{Schema: &Schema{Fields: fields}, Columns: cols}, nil
 }
 
 // defaultColumn materializes n default-valued rows for a field the file

@@ -158,17 +158,9 @@ func (f *File) NumRows() uint64 { return f.view.NumRows() }
 func (f *File) NumLiveRows() uint64 {
 	deleted := 0
 	for w := 0; w < f.view.DeletionWords(); w++ {
-		deleted += popcount(f.view.DeletionWord(w))
+		deleted += bits.OnesCount64(f.view.DeletionWord(w))
 	}
 	return f.view.NumRows() - uint64(deleted)
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for ; w != 0; w &= w - 1 {
-		n++
-	}
-	return n
 }
 
 // Compliance returns the deletion-compliance level the file was written at.
@@ -249,42 +241,6 @@ func (f *File) deletedInRange(lo, hi uint64) int {
 	return n
 }
 
-// ReadChunk reads and decodes one column chunk, returning only live rows.
-func (f *File) ReadChunk(group, col int) (ColumnData, error) {
-	field := f.FieldByIndex(col)
-	chunkOff, chunkSize := f.view.ChunkByteRange(group, col)
-	buf := make([]byte, chunkSize)
-	if _, err := f.r.ReadAt(buf, int64(chunkOff)); err != nil {
-		return nil, fmt.Errorf("core: reading chunk (%d,%d): %w", group, col, err)
-	}
-	first, count := f.view.ChunkPages(group, col)
-	rowStart := f.groupRowStart(group)
-
-	var out ColumnData
-	pageRowStart := rowStart
-	for p := first; p < first+count; p++ {
-		off, end := f.pageByteRange(p)
-		payload := buf[off-int64(chunkOff) : end-int64(chunkOff)]
-		logical := f.view.PageRows(p)
-		data, err := decodePage(field, payload, logical)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-		}
-		// Pages always hold their logical row count: Level-2 erasure masks
-		// in place rather than compacting, so alignment is intact and the
-		// deletion vector drives filtering at every compliance level.
-		if f.deletedInRange(pageRowStart, pageRowStart+uint64(logical)) > 0 {
-			data = filterDeleted(data, f.view, pageRowStart, logical)
-		}
-		out = appendColumn(out, data)
-		pageRowStart += uint64(logical)
-	}
-	if out == nil {
-		out = emptyColumn(field)
-	}
-	return out, nil
-}
-
 // filterDeleted drops rows marked in the deletion vector (Level-1 reads).
 func filterDeleted(data ColumnData, v *footer.View, rowStart uint64, logical int) ColumnData {
 	keep := make([]int, 0, logical)
@@ -324,81 +280,48 @@ func emptyColumn(f Field) ColumnData {
 	}
 }
 
-// ReadRows reads global rows [lo, hi) of a column, touching only the pages
-// that overlap the range — the selective-read path quality-aware layouts
-// exploit (§2.5): with rows presorted by quality, a threshold read becomes
-// one contiguous page run instead of scattered page fetches.
+// readRange materializes global rows [lo, hi) of the columns cols (live
+// rows only, in the order given) as a single scanner batch, so every
+// materializing reader shares the scan engine's coalesced read planner:
+// one read per run of byte-adjacent pages across the projected columns.
+// An empty range, or one whose rows are all deleted, yields empty typed
+// columns.
+func (f *File) readRange(cols []int, lo, hi uint64) (*Batch, error) {
+	if len(cols) == 0 {
+		return &Batch{Schema: &Schema{}}, nil
+	}
+	s, err := newScanner(f, cols, ScanOptions{Range: &RowRange{Lo: lo, Hi: hi}, BatchRows: int(hi - lo)})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	b, err := s.Next()
+	if err == io.EOF {
+		b = &Batch{Schema: s.schema, Columns: make([]ColumnData, len(cols))}
+		for i, field := range s.schema.Fields {
+			b.Columns[i] = emptyColumn(field)
+		}
+		return b, nil
+	}
+	return b, err
+}
+
+// ReadRows reads global rows [lo, hi) of a column (live rows only),
+// touching only the pages that overlap the range — the selective-read
+// path quality-aware layouts exploit (§2.5): with rows presorted by
+// quality, a threshold read is one contiguous page run per row group,
+// fetched with one read, instead of scattered page fetches.
 func (f *File) ReadRows(col int, lo, hi uint64) (ColumnData, error) {
-	if hi > f.view.NumRows() || lo > hi {
-		return nil, fmt.Errorf("core: row range [%d,%d) out of [0,%d]", lo, hi, f.view.NumRows())
+	b, err := f.readRange([]int{col}, lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	field := f.FieldByIndex(col)
-	var out ColumnData
-	counts := f.GroupRowCounts()
-	var groupStart uint64
-	for g := 0; g < f.view.NumGroups(); g++ {
-		groupEnd := groupStart + uint64(counts[g])
-		if groupEnd <= lo || groupStart >= hi {
-			groupStart = groupEnd
-			continue
-		}
-		first, count := f.view.ChunkPages(g, col)
-		pageStart := groupStart
-		for p := first; p < first+count; p++ {
-			logical := uint64(f.view.PageRows(p))
-			pageEnd := pageStart + logical
-			if pageEnd <= lo || pageStart >= hi {
-				pageStart = pageEnd
-				continue
-			}
-			off, end := f.pageByteRange(p)
-			payload := make([]byte, end-off)
-			if _, err := f.r.ReadAt(payload, off); err != nil {
-				return nil, fmt.Errorf("core: reading page %d: %w", p, err)
-			}
-			data, err := decodePage(field, payload, int(logical))
-			if err != nil {
-				return nil, fmt.Errorf("core: decoding page %d: %w", p, err)
-			}
-			// Clip to the requested range, then filter deletions.
-			clipLo, clipHi := 0, int(logical)
-			if pageStart < lo {
-				clipLo = int(lo - pageStart)
-			}
-			if pageEnd > hi {
-				clipHi = int(logical - (pageEnd - hi))
-			}
-			keep := make([]int, 0, clipHi-clipLo)
-			for i := clipLo; i < clipHi; i++ {
-				if !f.view.RowDeleted(pageStart + uint64(i)) {
-					keep = append(keep, i)
-				}
-			}
-			out = appendColumn(out, permuteColumn(data, keep))
-			pageStart = pageEnd
-		}
-		groupStart = groupEnd
-	}
-	if out == nil {
-		out = emptyColumn(field)
-	}
-	return out, nil
+	return b.Columns[0], nil
 }
 
 // ReadColumnByIndex reads a full column (live rows only).
 func (f *File) ReadColumnByIndex(col int) (ColumnData, error) {
-	var out ColumnData
-	for g := 0; g < f.view.NumGroups(); g++ {
-		chunk, err := f.ReadChunk(g, col)
-		if err != nil {
-			return nil, err
-		}
-		out = appendColumn(out, chunk)
-	}
-	if out == nil {
-		out = emptyColumn(f.FieldByIndex(col))
-	}
-	return out, nil
+	return f.ReadRows(col, 0, f.view.NumRows())
 }
 
 // ReadColumn reads a full column by name.
@@ -411,24 +334,15 @@ func (f *File) ReadColumn(name string) (ColumnData, error) {
 }
 
 // Project reads the named columns (live rows only), in the order given —
-// the paper's feature projection path.
+// the paper's feature projection path. The columns are fetched together,
+// so with hot columns reordered to the front at write time
+// (ReorderFields) a hot-set projection costs one read per row group.
 func (f *File) Project(names ...string) (*Batch, error) {
-	fields := make([]Field, len(names))
-	cols := make([]ColumnData, len(names))
-	for i, name := range names {
-		ci, ok := f.LookupColumn(name)
-		if !ok {
-			return nil, fmt.Errorf("core: no column %q", name)
-		}
-		fields[i] = f.FieldByIndex(ci)
-		data, err := f.ReadColumnByIndex(ci)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = data
+	cols, err := lookupColumns(f, names)
+	if err != nil {
+		return nil, err
 	}
-	schema := &Schema{Fields: fields}
-	return &Batch{Schema: schema, Columns: cols}, nil
+	return f.readRange(cols, 0, f.view.NumRows())
 }
 
 // VerifyChecksums re-hashes every page and validates the Merkle tree

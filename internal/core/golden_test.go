@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -434,11 +435,11 @@ func TestGoldenV2BackwardCompat(t *testing.T) {
 	}
 }
 
-// TestGoldenScanCoalescedIdentical pins read-path equivalence on the
-// committed golden file: the coalesced scan (cross-column read planner,
-// pooled run buffers, decode-into) must emit batch-for-batch identical
-// data to the uncoalesced per-column scan, including at a batch size that
-// misaligns with the golden file's 256-row pages.
+// TestGoldenScanCoalescedIdentical pins the read path on the committed
+// golden file: the coalesced scan (cross-column read planner, pooled run
+// buffers, decode-into) must emit, batch for batch, exactly the rows of
+// the source table the file was written from, including at a batch size
+// that misaligns with the golden file's 256-row pages.
 func TestGoldenScanCoalescedIdentical(t *testing.T) {
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -448,35 +449,29 @@ func TestGoldenScanCoalescedIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, src, _ := goldenTable(t)
+	n := src.NumRows()
 	for _, batchRows := range []int{700, 1024} {
-		plain, err := f.Scan(ScanOptions{Workers: 2, BatchRows: batchRows, DisableCoalesce: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		coal, err := f.Scan(ScanOptions{Workers: 2, BatchRows: batchRows})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b := 0; ; b++ {
-			pb, perr := plain.Next()
-			cb, cerr := coal.Next()
-			if perr == io.EOF || cerr == io.EOF {
-				if perr != cerr {
-					t.Fatalf("batchRows=%d: scans ended at different batches", batchRows)
-				}
-				break
+		batches := 0
+		for lo := 0; lo < n; lo += batchRows {
+			cb, err := coal.Next()
+			if err != nil {
+				t.Fatalf("batchRows=%d batch %d: %v", batchRows, batches, err)
 			}
-			if perr != nil || cerr != nil {
-				t.Fatal(perr, cerr)
+			hi := min(lo+batchRows, n)
+			for i := range src.Columns {
+				compareGoldenColumn(t, fmt.Sprintf("batchRows=%d batch %d: %s", batchRows, batches, f.FieldByIndex(i).Name),
+					cb.Columns[i], sliceColumn(src.Columns[i], lo, hi))
 			}
-			for i := range pb.Columns {
-				if !reflect.DeepEqual(cb.Columns[i], pb.Columns[i]) {
-					t.Errorf("batchRows=%d batch %d: column %q differs between coalesced and uncoalesced scan",
-						batchRows, b, f.FieldByIndex(i).Name)
-				}
-			}
+			batches++
 		}
-		plain.Close()
+		if _, err := coal.Next(); err != io.EOF {
+			t.Fatalf("batchRows=%d: scan continued past %d batches (err %v)", batchRows, batches, err)
+		}
 		coal.Close()
 	}
 }

@@ -4,13 +4,14 @@ package core_test
 // rows". Each case generates a random schema, random data (including
 // quantized float32 columns, NaN/Inf floats, nullable ints, deletions,
 // and misaligned page/group/batch geometries) and a random predicate set,
-// then runs the scan twice:
+// then compares:
 //
-//	reference — no filters, DisableCoalesce (the plain per-column path);
-//	pruned    — the filters installed, coalescing on.
+//	reference — the rows the case wrote, minus deletions, with float32
+//	            values round-tripped through the column's quantization;
+//	pruned    — a scan with the filters installed.
 //
-// Applying the predicates exactly to both outputs must yield identical
-// row sequences: statistics pruning (page zone maps, page blooms, the
+// Applying the predicates exactly to both must yield identical row
+// sequences: statistics pruning (page zone maps, page blooms, the
 // file-level short-circuit, and — for the dataset cases — manifest zone
 // maps and member blooms) may only drop rows that provably cannot match.
 // The harness runs at page, file, and manifest level: most cases scan a
@@ -289,13 +290,44 @@ func matchingRows(t *testing.T, next func() (*core.Batch, error), filters []core
 	}
 }
 
+// sourceMatchingRows is the reference: the case's source rows visited in
+// order (source row indices), skipping deleted ones, with the predicates
+// applied exactly and rendered like matchingRows. Float32 values go
+// through the column's quantize/dequantize round trip first — the only
+// lossy step between the written and the stored rows.
+func sourceMatchingRows(t *testing.T, pc *propCase, order []int, deleted map[int]bool) string {
+	cols := append([]core.ColumnData(nil), pc.batch.Columns...)
+	for i, fd := range pc.schema.Fields {
+		if fd.Type.Kind != core.Float32 {
+			continue
+		}
+		bits, err := quant.Quantize(cols[i].(core.Float32Data), fd.Type.Quant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := quant.Dequantize(bits, fd.Type.Quant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i] = core.Float32Data(stored)
+	}
+	b := &core.Batch{Schema: pc.schema, Columns: cols}
+	var sb strings.Builder
+	for _, r := range order {
+		if !deleted[r] && rowMatches(b, r, pc.filters) {
+			renderRow(&sb, b, r)
+		}
+	}
+	return sb.String()
+}
+
 var propPruneStats struct {
 	batchesSkipped atomic.Int64
 	filesPruned    atomic.Int64
 }
 
 // runFileCase writes one file and compares the pruned scan against the
-// reference scan (page- and file-level pruning).
+// source rows (page- and file-level pruning).
 func runFileCase(t *testing.T, pc *propCase) {
 	var buf bytes.Buffer
 	w, err := core.NewWriter(&buf, pc.schema, pc.opts)
@@ -319,12 +351,15 @@ func runFileCase(t *testing.T, pc *propCase) {
 		}
 	}
 
-	ref, err := f.Scan(core.ScanOptions{BatchRows: pc.batchRows, Workers: pc.workers, DisableCoalesce: true})
-	if err != nil {
-		t.Fatal(err)
+	order := make([]int, pc.batch.NumRows())
+	for i := range order {
+		order[i] = i
 	}
-	defer ref.Close()
-	want := matchingRows(t, ref.Next, pc.filters)
+	deleted := map[int]bool{}
+	for _, r := range pc.deletions {
+		deleted[int(r)] = true
+	}
+	want := sourceMatchingRows(t, pc, order, deleted)
 
 	pruned, err := f.Scan(core.ScanOptions{BatchRows: pc.batchRows, Workers: pc.workers, Filters: pc.filters})
 	if err != nil {
@@ -341,7 +376,8 @@ func runFileCase(t *testing.T, pc *propCase) {
 }
 
 // runDatasetCase routes the same table through a sharded dataset and
-// compares the manifest-pruned scan against the unfiltered reference.
+// compares the manifest-pruned scan against the source rows in dataset
+// order.
 func runDatasetCase(t *testing.T, pc *propCase, rng *rand.Rand) {
 	d, err := dataset.Create(t.TempDir(), pc.schema, &dataset.Options{Writer: pc.opts})
 	if err != nil {
@@ -354,9 +390,12 @@ func runDatasetCase(t *testing.T, pc *propCase, rng *rand.Rand) {
 	}
 	// Feed the table in slices so round-robin routing spreads rows with
 	// distinct value ranges across members.
+	// Slice k lands in shard k mod shards, and shards commit as members in
+	// shard order, so dataset row order is each shard's slices in turn.
 	n := pc.batch.NumRows()
 	step := n/4 + 1
-	for lo := 0; lo < n; lo += step {
+	shardRows := make([][]int, sw.NumShards())
+	for k, lo := 0, 0; lo < n; k, lo = k+1, lo+step {
 		hi := lo + step
 		if hi > n {
 			hi = n
@@ -368,30 +407,31 @@ func runDatasetCase(t *testing.T, pc *propCase, rng *rand.Rand) {
 		if err := sw.Write(&core.Batch{Schema: pc.schema, Columns: cols}); err != nil {
 			t.Fatal(err)
 		}
+		for r := lo; r < hi; r++ {
+			shardRows[k%len(shardRows)] = append(shardRows[k%len(shardRows)], r)
+		}
+	}
+	var order []int
+	for _, rows := range shardRows {
+		order = append(order, rows...)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	deleted := map[int]bool{}
 	if len(pc.deletions) > 0 {
 		del := make([]uint64, 0, len(pc.deletions))
 		for _, r := range pc.deletions {
 			if r < d.NumRows() {
 				del = append(del, r)
+				deleted[order[r]] = true
 			}
 		}
 		if err := d.Delete(del); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	ref, err := d.Scan(dataset.ScanOptions{ScanOptions: core.ScanOptions{
-		BatchRows: pc.batchRows, Workers: pc.workers, DisableCoalesce: true,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := matchingRows(t, ref.Next, pc.filters)
+	want := sourceMatchingRows(t, pc, order, deleted)
 
 	pruned, err := d.Scan(dataset.ScanOptions{ScanOptions: core.ScanOptions{
 		BatchRows: pc.batchRows, Workers: pc.workers, Filters: pc.filters,

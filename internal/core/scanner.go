@@ -12,12 +12,14 @@ import (
 	"bullion/internal/quant"
 )
 
-// This file implements the streaming scan subsystem: instead of
-// materializing whole columns (ReadColumnByIndex / Project), a Scanner
-// iterates the projected column set in fixed-size row batches — the shape
-// ML data loaders consume — decoding the columns of in-flight batches on a
-// GOMAXPROCS-bounded worker pool while preserving file order. Batches that
-// provably contain no useful rows are skipped before any I/O happens:
+// This file implements the streaming scan subsystem, the only code that
+// reads and decodes pages: a Scanner iterates the projected column set in
+// fixed-size row batches — the shape ML data loaders consume — fetching
+// each batch through the coalesced read planner (planSpanRuns) and
+// decoding its columns on a GOMAXPROCS-bounded worker pool while
+// preserving file order. The materializing readers (Project, ReadColumn,
+// ReadRows) are one-batch scans (File.readRange). Batches that provably
+// contain no useful rows are skipped before any I/O happens:
 //   - batches outside ScanOptions.Range are never planned,
 //   - batches whose rows are all deleted are dropped (deleted-heavy files
 //     touch proportionally less I/O),
@@ -93,18 +95,11 @@ type ScanOptions struct {
 	// DefaultCoalesceGap, used when 0). Negative disables read-through:
 	// only exactly byte-adjacent page runs merge.
 	CoalesceGap int
-	// DisableCoalesce reverts to one read per column chunk run (the
-	// pre-planner scan path). Coalesced and uncoalesced scans return
-	// identical batches; this exists for measurement and as an escape
-	// hatch for readers whose storage penalizes large requests.
-	DisableCoalesce bool
 	// ReuseBatches opts into batch recycling: when the caller returns a
 	// finished batch via Scanner.Recycle, later batches decode into its
 	// column storage instead of allocating, making steady-state Next
 	// calls allocation-free for fixed-width columns. Batches must not be
-	// read after being recycled. Recycling is implemented by the
-	// coalesced decode path only; with DisableCoalesce, Recycle is a
-	// no-op.
+	// read after being recycled.
 	ReuseBatches bool
 }
 
@@ -124,9 +119,8 @@ type ScanStats struct {
 	// batches and are not counted here.
 	BatchesSkipped int64
 	RowsEmitted    int64
-	// ReadOps counts physical ReadAt calls issued so far. On the
-	// coalesced path, adjacent column chunks share reads, so ReadOps can
-	// be far below columns x batches.
+	// ReadOps counts physical ReadAt calls issued so far. Adjacent column
+	// chunks share reads, so ReadOps can be far below columns x batches.
 	ReadOps int64
 	// CoalescedBytes counts bytes fetched by reads that merged page runs
 	// of two or more columns into one I/O.
@@ -153,9 +147,8 @@ type scanSlot struct {
 	idx  int
 	span rowSpan
 	cols []ColumnData
-	// runs/colSegs are set on the coalesced path: the planned physical
-	// reads for this span and, per projected column, its page segments in
-	// row order.
+	// runs/colSegs are the planned physical reads for this span and, per
+	// projected column, its page segments in row order.
 	runs    []*spanRun
 	colSegs [][]segRef
 	// reuse holds a recycled batch's column storage (ReuseBatches).
@@ -180,17 +173,16 @@ type scanTask struct {
 
 // Scanner streams a projected column set in row batches. One Scanner must
 // be used from a single goroutine; any number of Scanners may run
-// concurrently over the same *File. The scanner reaches its file only
-// through the scanSource interface — one engine instance per source.
+// concurrently over the same *File. The dataset layer (internal/dataset)
+// runs one Scanner per member file and merges the per-file streams.
 type Scanner struct {
-	src    scanSource
+	f      *File
 	cols   []int
 	schema *Schema
 
 	batches []rowSpan
 	workers int
 
-	coalesce    bool
 	gap         int64
 	reuseOn     bool
 	poolRunBufs bool // run buffers recyclable: no projected column aliases them
@@ -222,16 +214,23 @@ type Scanner struct {
 }
 
 // Scan plans a streaming scan and starts its decode pool.
-func (f *File) Scan(opts ScanOptions) (*Scanner, error) { return newScanner(f, opts) }
-
-// newScanner plans a streaming scan over any scanSource and starts its
-// decode pool.
-func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
-	cols, schema, err := resolveProjection(src, opts.Columns)
+func (f *File) Scan(opts ScanOptions) (*Scanner, error) {
+	cols, err := resolveProjection(f, opts.Columns)
 	if err != nil {
 		return nil, err
 	}
-	v := src.View()
+	return newScanner(f, cols, opts)
+}
+
+// newScanner plans a streaming scan of the column indices cols (in output
+// order; opts.Columns is not consulted) and starts its decode pool.
+func newScanner(f *File, cols []int, opts ScanOptions) (*Scanner, error) {
+	fields := make([]Field, len(cols))
+	for i, ci := range cols {
+		fields[i] = f.FieldByIndex(ci)
+	}
+	schema := &Schema{Fields: fields}
+	v := f.View()
 	batchRows := opts.BatchRows
 	if batchRows <= 0 {
 		batchRows = DefaultScanBatchRows
@@ -250,7 +249,7 @@ func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
 		}
 		lo, hi = r.Lo, r.Hi
 	}
-	filters, err := resolveFilters(src, opts.Filters)
+	filters, err := resolveFilters(f, opts.Filters)
 	if err != nil {
 		return nil, err
 	}
@@ -262,16 +261,12 @@ func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
 		gap = 0
 	}
 	s := &Scanner{
-		src:      src,
-		cols:     cols,
-		schema:   schema,
-		workers:  workers,
-		coalesce: !opts.DisableCoalesce,
-		gap:      gap,
-		// Only the coalesced decode path implements decode-into, so
-		// recycling is pointless (and would silently drop recycled
-		// storage) without it.
-		reuseOn:     opts.ReuseBatches && !opts.DisableCoalesce,
+		f:           f,
+		cols:        cols,
+		schema:      schema,
+		workers:     workers,
+		gap:         gap,
+		reuseOn:     opts.ReuseBatches,
 		poolRunBufs: !projectionAliases(schema.Fields),
 		pending:     map[int]*scanSlot{},
 		stop:        make(chan struct{}),
@@ -279,13 +274,13 @@ func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
 	// Whole-file pruning first: when the footer's file-level stats or
 	// blooms prove the filters cannot match anywhere, no batch is planned
 	// and no page statistic is ever consulted.
-	fileExcluded := fileExcludedByFilters(src, filters)
+	fileExcluded := fileExcludedByFilters(f, filters)
 	for b := lo; b < hi; b += uint64(batchRows) {
 		span := rowSpan{b, min(b+uint64(batchRows), hi)}
 		if fileExcluded || s.pruneBatch(span, filters) {
 			s.batchesSkip++
 			for _, ci := range cols {
-				s.pagesSkipped += int64(countPagesInSpan(src, ci, span))
+				s.pagesSkipped += int64(countPagesInSpan(f, ci, span))
 			}
 			continue
 		}
@@ -295,29 +290,30 @@ func newScanner(src scanSource, opts ScanOptions) (*Scanner, error) {
 	return s, nil
 }
 
-// resolveProjection maps names to column indices (empty = all columns).
-func resolveProjection(src scanSource, names []string) ([]int, *Schema, error) {
-	var cols []int
+// resolveProjection maps a scan's column names to indices (empty = all
+// columns).
+func resolveProjection(f *File, names []string) ([]int, error) {
 	if len(names) == 0 {
-		cols = make([]int, src.View().NumColumns())
+		cols := make([]int, f.NumColumns())
 		for i := range cols {
 			cols[i] = i
 		}
-	} else {
-		cols = make([]int, len(names))
-		for i, name := range names {
-			ci, ok := src.LookupColumn(name)
-			if !ok {
-				return nil, nil, fmt.Errorf("core: no column %q", name)
-			}
-			cols[i] = ci
+		return cols, nil
+	}
+	return lookupColumns(f, names)
+}
+
+// lookupColumns maps names to column indices, in the order given.
+func lookupColumns(f *File, names []string) ([]int, error) {
+	cols := make([]int, len(names))
+	for i, name := range names {
+		ci, ok := f.LookupColumn(name)
+		if !ok {
+			return nil, fmt.Errorf("core: no column %q", name)
 		}
+		cols[i] = ci
 	}
-	fields := make([]Field, len(cols))
-	for i, ci := range cols {
-		fields[i] = src.FieldByIndex(ci)
-	}
-	return cols, &Schema{Fields: fields}, nil
+	return cols, nil
 }
 
 type boundFilter struct {
@@ -354,10 +350,10 @@ func filterHashes(values [][]byte) []uint64 {
 	return hs
 }
 
-func resolveFilters(src scanSource, fs []ColumnFilter) ([]boundFilter, error) {
+func resolveFilters(f *File, fs []ColumnFilter) ([]boundFilter, error) {
 	out := make([]boundFilter, 0, len(fs))
 	for _, cf := range fs {
-		ci, ok := src.LookupColumn(cf.Column)
+		ci, ok := f.LookupColumn(cf.Column)
 		if !ok {
 			return nil, fmt.Errorf("core: no column %q", cf.Column)
 		}
@@ -375,7 +371,7 @@ func resolveFilters(src scanSource, fs []ColumnFilter) ([]boundFilter, error) {
 // pruneBatch reports whether span can be skipped entirely: every row
 // deleted, or some statistics filter excludes every overlapping page.
 func (s *Scanner) pruneBatch(span rowSpan, filters []boundFilter) bool {
-	if s.src.deletedInRange(span.lo, span.hi) == int(span.hi-span.lo) {
+	if s.f.deletedInRange(span.lo, span.hi) == int(span.hi-span.lo) {
 		return true
 	}
 	for i := range filters {
@@ -439,8 +435,8 @@ func bloomFilterExcludes(bf *boundFilter, fl *enc.Bloom) bool {
 // the range predicates, page blooms for the membership predicate.
 func (s *Scanner) filterExcludesSpan(bf *boundFilter, span rowSpan) bool {
 	excluded := true
-	v := s.src.View()
-	forEachPageInSpan(s.src, bf.col, span, func(p int, _, _ uint64) bool {
+	v := s.f.View()
+	forEachPageInSpan(s.f, bf.col, span, func(p int, _, _ uint64) bool {
 		st, ok := v.PageStat(p)
 		if ok && statExcludes(bf, st.Min, st.Max, st.Flags) {
 			return true
@@ -458,21 +454,15 @@ func (s *Scanner) filterExcludesSpan(bf *boundFilter, span rowSpan) bool {
 // batch is planned: the footer's file-level column stats and blooms
 // (footer v3) can prove an entire scan empty in O(filters) without
 // touching page statistics.
-func fileExcludedByFilters(src scanSource, filters []boundFilter) bool {
-	v := src.View()
-	// *File memoizes parsed column blooms on its shared Footer; fall back
-	// to a one-shot parse for sources without the memo.
-	memo, _ := src.(interface{ parsedColumnBloom(c int) *enc.Bloom })
+func fileExcludedByFilters(f *File, filters []boundFilter) bool {
+	v := f.View()
 	for i := range filters {
 		bf := &filters[i]
 		if st, ok := v.ColumnStat(bf.col); ok && statExcludes(bf, st.Min, st.Max, st.Flags) {
 			return true
 		}
-		if memo != nil {
-			if bloomFilterExcludes(bf, memo.parsedColumnBloom(bf.col)) {
-				return true
-			}
-		} else if bloomExcludes(bf, v.ColumnBloom(bf.col)) {
+		// Column blooms are parsed once per shared Footer, then probed.
+		if bloomFilterExcludes(bf, f.parsedColumnBloom(bf.col)) {
 			return true
 		}
 	}
@@ -496,34 +486,32 @@ func (s *Scanner) start() {
 				return
 			}
 			slot := &scanSlot{idx: i, span: span, cols: make([]ColumnData, len(s.cols))}
-			if s.coalesce {
-				slot.runs = planSpanRuns(s.src, s.cols, span, s.gap)
-				// Bucket each column's segments (in row = file-offset
-				// order) into one shared backing array: a per-column
-				// append loop would cost O(columns) allocations per batch.
-				ends := make([]int, len(s.cols)+1)
-				total := 0
-				for _, run := range slot.runs {
-					for _, seg := range run.segs {
-						ends[seg.col+1]++
-						total++
-					}
+			slot.runs = planSpanRuns(s.f, s.cols, span, s.gap)
+			// Bucket each column's segments (in row = file-offset
+			// order) into one shared backing array: a per-column
+			// append loop would cost O(columns) allocations per batch.
+			ends := make([]int, len(s.cols)+1)
+			total := 0
+			for _, run := range slot.runs {
+				for _, seg := range run.segs {
+					ends[seg.col+1]++
+					total++
 				}
-				for c := 0; c < len(s.cols); c++ {
-					ends[c+1] += ends[c]
+			}
+			for c := 0; c < len(s.cols); c++ {
+				ends[c+1] += ends[c]
+			}
+			backing := make([]segRef, total)
+			cursor := append([]int(nil), ends[:len(s.cols)]...)
+			for _, run := range slot.runs {
+				for _, seg := range run.segs {
+					backing[cursor[seg.col]] = segRef{run: run, seg: seg}
+					cursor[seg.col]++
 				}
-				backing := make([]segRef, total)
-				cursor := append([]int(nil), ends[:len(s.cols)]...)
-				for _, run := range slot.runs {
-					for _, seg := range run.segs {
-						backing[cursor[seg.col]] = segRef{run: run, seg: seg}
-						cursor[seg.col]++
-					}
-				}
-				slot.colSegs = make([][]segRef, len(s.cols))
-				for c := range slot.colSegs {
-					slot.colSegs[c] = backing[ends[c]:ends[c+1]]
-				}
+			}
+			slot.colSegs = make([][]segRef, len(s.cols))
+			for c := range slot.colSegs {
+				slot.colSegs[c] = backing[ends[c]:ends[c+1]]
 			}
 			slot.reuse = s.takeFree()
 			slot.remaining.Store(int32(len(s.cols)))
@@ -542,13 +530,7 @@ func (s *Scanner) start() {
 		go func() {
 			defer s.wg.Done()
 			for task := range s.tasks {
-				var data ColumnData
-				var err error
-				if task.slot.colSegs != nil {
-					data, err = s.decodeColumnRuns(task.slot, task.col)
-				} else {
-					data, err = s.decodeColumnSpan(s.cols[task.col], task.slot.span)
-				}
+				data, err := s.decodeColumnRuns(task.slot, task.col)
 				if err != nil {
 					task.slot.setErr(err)
 				} else {
@@ -600,80 +582,6 @@ func (s *Scanner) Next() (*Batch, error) {
 	}
 }
 
-// decodeColumnSpan reads and decodes rows [span.lo, span.hi) of column ci,
-// filtering deleted rows. Pages of one column chunk are physically
-// contiguous, so each overlapping per-group run costs one ReadAt.
-func (s *Scanner) decodeColumnSpan(ci int, span rowSpan) (ColumnData, error) {
-	src := s.src
-	v := src.View()
-	field := src.FieldByIndex(ci)
-	var out ColumnData
-
-	// Collect maximal runs of index-adjacent pages; global pages are laid
-	// out densely, so index adjacency is byte adjacency and each run costs
-	// one ReadAt. Within a group a column's pages are adjacent; across
-	// groups the column's next chunk starts a fresh run.
-	type pageRun struct {
-		first, last   int // global page indices, inclusive
-		firstRowStart uint64
-	}
-	var runs []pageRun
-	forEachPageInSpan(src, ci, span, func(p int, rowLo, _ uint64) bool {
-		if n := len(runs); n > 0 && runs[n-1].last == p-1 {
-			runs[n-1].last = p
-			return true
-		}
-		runs = append(runs, pageRun{first: p, last: p, firstRowStart: rowLo})
-		return true
-	})
-
-	for _, run := range runs {
-		off := int64(v.PageOffset(run.first))
-		_, end := src.pageByteRange(run.last)
-		buf := make([]byte, end-off)
-		if _, err := src.readAt(buf, off); err != nil {
-			return nil, fmt.Errorf("core: reading pages %d-%d of column %q: %w",
-				run.first, run.last, field.Name, err)
-		}
-		s.readOps.Add(1)
-		s.bytesRead.Add(int64(len(buf)))
-		rowStart := run.firstRowStart
-		for p := run.first; p <= run.last; p++ {
-			pOff, pEnd := src.pageByteRange(p)
-			logical := v.PageRows(p)
-			data, err := decodePage(field, buf[pOff-off:pEnd-off], logical)
-			if err != nil {
-				return nil, fmt.Errorf("core: decoding page %d of column %q: %w", p, field.Name, err)
-			}
-			s.pagesDecoded.Add(1)
-			rowEnd := rowStart + uint64(logical)
-
-			// Clip to the span, then drop deleted rows (only when any
-			// exist — the common clean page is appended as-is).
-			clipLo, clipHi := 0, logical
-			if rowStart < span.lo {
-				clipLo = int(span.lo - rowStart)
-			}
-			if rowEnd > span.hi {
-				clipHi = logical - int(rowEnd-span.hi)
-			}
-			if clipLo != 0 || clipHi != logical {
-				data = sliceColumn(data, clipLo, clipHi)
-			}
-			clipStart := rowStart + uint64(clipLo)
-			if src.deletedInRange(clipStart, rowStart+uint64(clipHi)) > 0 {
-				data = filterDeleted(data, v, clipStart, clipHi-clipLo)
-			}
-			out = appendColumn(out, data)
-			rowStart = rowEnd
-		}
-	}
-	if out == nil {
-		out = emptyColumn(field)
-	}
-	return out, nil
-}
-
 // projectionAliases reports whether any projected column's decoded values
 // can alias the encoded page bytes (byte-string decoding is zero-copy out
 // of the read buffer). When true, run buffers must live as long as the
@@ -705,7 +613,7 @@ func (s *Scanner) fetchRun(r *spanRun) error {
 		} else {
 			r.buf = make([]byte, n)
 		}
-		if _, err := s.src.readAt(r.buf, r.off); err != nil {
+		if _, err := s.f.r.ReadAt(r.buf, r.off); err != nil {
 			r.err = fmt.Errorf("core: coalesced read [%d,%d): %w", r.off, r.end, err)
 			if r.bufP != nil {
 				putRunBuf(r.bufP)
@@ -735,15 +643,15 @@ func releaseRuns(slot *scanSlot) {
 	}
 }
 
-// decodeColumnRuns decodes projected column pos of a coalesced slot from
-// its planned run buffers. Fixed-width columns decode straight into the
+// decodeColumnRuns decodes projected column pos of a slot from its planned
+// run buffers. Fixed-width columns decode straight into the
 // output slice (recycled from ScanOptions.ReuseBatches when available):
 // pages fully inside the span with no deletions — every page, when batches
 // are page-aligned — cost zero allocations. Variable-width columns fall
 // back to per-page decoding but still share the coalesced reads.
 func (s *Scanner) decodeColumnRuns(slot *scanSlot, pos int) (ColumnData, error) {
 	ci := s.cols[pos]
-	field := s.src.FieldByIndex(ci)
+	field := s.f.FieldByIndex(ci)
 	segs := slot.colSegs[pos]
 	var reuse ColumnData
 	if slot.reuse != nil {
@@ -832,7 +740,7 @@ func decodeFixedRuns[T any](s *Scanner, slot *scanSlot, field Field, segs []segR
 	} else {
 		out = make([]T, want)
 	}
-	f := s.src
+	f := s.f
 	v := f.View()
 	pos := 0
 	for _, sr := range segs {
@@ -894,7 +802,7 @@ func (s *Scanner) decodeNullableRuns(slot *scanSlot, field Field, segs []segRef,
 	} else {
 		vals, valid = make([]int64, want), make([]bool, want)
 	}
-	f := s.src
+	f := s.f
 	v := f.View()
 	pos := 0
 	for _, sr := range segs {
@@ -941,11 +849,11 @@ func (s *Scanner) decodeNullableRuns(slot *scanSlot, field Field, segs []segRef,
 }
 
 // decodeGenericRuns handles variable-width columns (byte strings, lists,
-// sparse sequences): per-page decoding as on the uncoalesced path, but
-// slicing payloads out of the shared run buffers.
+// sparse sequences): per-page decoding, slicing payloads out of the shared
+// run buffers.
 func (s *Scanner) decodeGenericRuns(slot *scanSlot, field Field, segs []segRef) (ColumnData, error) {
 	span := slot.span
-	f := s.src
+	f := s.f
 	v := f.View()
 	var out ColumnData
 	for _, sr := range segs {

@@ -321,22 +321,16 @@ func TestCacheConcurrentLifecycle(t *testing.T) {
 }
 
 // TestCacheGoldenEquivalence: the same scan through every cache
-// configuration — disabled, shared cold, shared warm, private with
-// pinning — yields byte-identical rows.
+// configuration — disabled, shared cold, shared warm, private — yields
+// byte-identical rows.
 func TestCacheGoldenEquivalence(t *testing.T) {
 	const nFiles, rows = 3, 400
 	dir := buildLocalDataset(t, nFiles, rows)
 
 	golden := scanAll(t, dir, &Options{DisableCache: true})
-	pinned := &Options{
-		FooterCacheEntries: 32,
-		CacheBytes:         64 << 20,
-		PinHotMembers:      true,
-	}
 	for name, opts := range map[string]*Options{
 		"shared":  nil,
 		"private": {FooterCacheEntries: 32},
-		"pinned":  pinned,
 	} {
 		got := scanAll(t, dir, opts)
 		if len(got) != len(golden) {

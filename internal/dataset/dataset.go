@@ -62,16 +62,7 @@ type Options struct {
 	// Cache gives the dataset a private cache (sized with CacheBytes
 	// when that is also set) instead of resizing the shared one.
 	FooterCacheEntries int
-	// PinHotMembers materializes member files no larger than
-	// PinMemberBytes wholly in RAM on first open (mebo-style blobs):
-	// every page read of a pinned member is served at memory speed.
-	// Pins count against CacheBytes and the cache's global budget.
-	PinHotMembers bool
 }
-
-// PinMemberBytes is the size ceiling for Options.PinHotMembers: larger
-// members use the run cache only.
-const PinMemberBytes = 8 << 20
 
 // Dataset is a handle over a manifest-backed multi-file table. Scans may
 // run concurrently with each other and with Append/Delete/Compact: every
@@ -246,11 +237,6 @@ func (d *Dataset) openMember(e *FileEntry) (*core.File, error) {
 		return nil, fmt.Errorf("dataset: opening member %s: %w", e.Name, err)
 	}
 	ftr := ftrAny.(*core.Footer)
-	if d.opts.PinHotMembers && size <= PinMemberBytes {
-		// Best-effort: a member that fails to materialize (budget, read
-		// error) still scans through the run cache.
-		d.cache.Materialize(ck, r, size)
-	}
 	// Reads that prove the pinned object was replaced under us drop the
 	// member's cache entries, so the next open re-probes instead of
 	// serving a version that can only keep failing.

@@ -512,12 +512,15 @@ func Reorder(w io.Writer) error {
 		}
 		before := c.Snapshot()
 		if tc.coalesce {
-			if _, err := f.ProjectCoalesced(hot...); err != nil {
+			if _, err := f.Project(hot...); err != nil {
 				return err
 			}
 		} else {
-			if _, err := f.Project(hot...); err != nil {
-				return err
+			// One projection per column: no two columns share a read.
+			for _, name := range hot {
+				if _, err := f.Project(name); err != nil {
+					return err
+				}
 			}
 		}
 		d := c.Snapshot().Sub(before)

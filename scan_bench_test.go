@@ -1,9 +1,9 @@
 package bullion
 
-// Streaming-scan benchmarks: the whole-column Project path (decode on the
-// calling goroutine, one column at a time) against the batch-streaming
-// Scanner at 1/4/8 workers, over a 64-column feature table. Two storage
-// models bracket the regimes the paper targets:
+// Streaming-scan benchmarks: the whole-file Project path (one batch
+// holding every row) against the batch-streaming Scanner at 1/4/8
+// workers, over a 64-column feature table. Both run on the same scan
+// engine. Two storage models bracket the regimes the paper targets:
 //
 //   - in-memory (page-cache-hot local file): decode-bound, so the Scanner
 //     win tracks available cores;
@@ -134,14 +134,12 @@ func benchStreaming(b *testing.B, workers int, latency time.Duration) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// DisableCoalesce pins the pre-planner per-column read path: these
-		// benchmarks are the baseline the coalesced scan is measured
-		// against (and stay comparable with the PR-1 numbers).
+		// Full projection without batch recycling: every batch decodes
+		// into fresh storage.
 		sc, err := f.Scan(ScanOptions{
-			Columns:         names,
-			Workers:         workers,
-			BatchRows:       8192,
-			DisableCoalesce: true,
+			Columns:   names,
+			Workers:   workers,
+			BatchRows: 8192,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -181,10 +179,9 @@ func BenchmarkScanStreamingBlob8(b *testing.B)  { benchStreaming(b, 8, scanBench
 // are reordered to the front at write time (ReorderFields), so a hot-set
 // projection touches 16 physically adjacent chunks per row group. The
 // coalesced scan then reads each group's hot set in one I/O and decodes
-// into recycled batch storage; the *Hot baselines run the identical
-// projection on the identical file through the per-column path. Both
-// paths return byte-identical batches (TestGoldenScanCoalescedIdentical
-// and TestScanCoalescedMatchesUncoalesced pin this).
+// into recycled batch storage; the *Hot baselines scan each hot column of
+// the identical file on its own, so no two columns share a read
+// (TestScanCoalescedMatchesUncoalesced pins the read-count gap).
 
 const hotBenchCols = 16
 
@@ -263,38 +260,46 @@ func benchHotScan(b *testing.B, workers int, coalesce, recycle bool, latency tim
 	if err != nil {
 		b.Fatal(err)
 	}
+	projections := [][]string{names}
+	if !coalesce {
+		projections = make([][]string, len(names))
+		for i, name := range names {
+			projections[i] = []string{name}
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var readOps int64
 	for i := 0; i < b.N; i++ {
-		sc, err := f.Scan(ScanOptions{
-			Columns:         names,
-			Workers:         workers,
-			BatchRows:       8192,
-			DisableCoalesce: !coalesce,
-			ReuseBatches:    recycle,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := 0
-		for {
-			batch, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
+		for _, cols := range projections {
+			sc, err := f.Scan(ScanOptions{
+				Columns:      cols,
+				Workers:      workers,
+				BatchRows:    8192,
+				ReuseBatches: recycle,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			rows += batch.NumRows()
-			if recycle {
-				sc.Recycle(batch)
+			rows := 0
+			for {
+				batch, err := sc.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += batch.NumRows()
+				if recycle {
+					sc.Recycle(batch)
+				}
 			}
-		}
-		readOps += sc.Stats().ReadOps
-		sc.Close()
-		if rows != scanBenchRows {
-			b.Fatalf("scanned %d rows", rows)
+			readOps += sc.Stats().ReadOps
+			sc.Close()
+			if rows != scanBenchRows {
+				b.Fatalf("scanned %d rows", rows)
+			}
 		}
 	}
 	b.ReportMetric(float64(readOps)/float64(b.N), "readops/op")
@@ -305,8 +310,8 @@ func benchHotScan(b *testing.B, workers int, coalesce, recycle bool, latency tim
 func BenchmarkScanCoalesced1(b *testing.B) { benchHotScan(b, 1, true, true, 0) }
 func BenchmarkScanCoalesced8(b *testing.B) { benchHotScan(b, 8, true, true, 0) }
 
-// BenchmarkScanStreamingHot*: the same projection on the same file
-// through the per-column baseline path.
+// BenchmarkScanStreamingHot*: the same columns on the same file, one scan
+// per column (the per-column baseline).
 func BenchmarkScanStreamingHot1(b *testing.B) { benchHotScan(b, 1, false, false, 0) }
 func BenchmarkScanStreamingHot8(b *testing.B) { benchHotScan(b, 8, false, false, 0) }
 
