@@ -318,19 +318,26 @@
 //
 // # Caching and memory tiering
 //
-// Committed member files are immutable — a dataset mutation publishes
-// new files under new names and bumps the manifest generation — so
-// everything derived from a member's bytes can be cached for as long as
-// the member exists. Datasets share a process-wide artifact cache
-// (private or disabled per handle via DatasetOptions) with three tiers:
+// Everything derived from a member's bytes is cached under a version
+// key: the member's name plus its manifest row, live-row and byte
+// accounting and, on remote backends, its ETag. Appends and compaction
+// publish new files under new names. Delete is the exception: it
+// rewrites the member's footer deletion vector in place, and the
+// version key carries the new live-row count, so the post-delete member
+// is looked up under a new key and the old entries are never hit again.
+// Datasets share a process-wide artifact cache with three tiers:
 //
-//   - parsed footers and column bloom filters, keyed by member identity
-//     and version, with singleflight — N concurrent scanners opening the
-//     same member pay exactly one footer parse and one bloom decode;
+//   - parsed footers and column bloom filters, keyed by member version,
+//     with singleflight — N concurrent scanners opening the same member
+//     pay exactly one footer parse and one bloom decode;
 //   - open backend handles, a refcounted LRU bounding live file
 //     descriptors and HTTP HEAD+ETag pins across Dataset handles;
-//   - a segmented-LRU byte cache of coalesced page runs in front of every
-//     member read, with per-dataset budgets (DatasetOptions.CacheBytes).
+//   - a plain-LRU byte cache of coalesced page runs in front of every
+//     member read, bounded by one global budget (CacheOptions.PageBytes).
+//
+// A private cache is NewCache(...) passed as DatasetOptions.Cache; its
+// owner closes it after the datasets that use it. DisableCache turns
+// caching off for a handle, and scans are byte-identical either way.
 //
 // The net effect is that a warm selective re-scan touches the backend
 // zero times for metadata and only for uncached data runs, which on a
@@ -773,10 +780,10 @@ type (
 	ResilientBackend = storage.Resilient
 	// ResilienceStats is a ResilientBackend's cumulative counter snapshot.
 	ResilienceStats = storage.ResilienceStats
-	// ArtifactCache is the shared immutable-artifact cache serving
-	// datasets: parsed footers/blooms, open handles, and page bytes (see
-	// "Caching and memory tiering"). Pass one via DatasetOptions.Cache to
-	// scope sharing explicitly.
+	// ArtifactCache is the versioned artifact cache serving datasets:
+	// parsed footers/blooms, open handles, and page bytes (see "Caching
+	// and memory tiering"). Pass one via DatasetOptions.Cache to scope
+	// sharing explicitly.
 	ArtifactCache = cache.Cache
 	// CacheOptions sizes a NewCache instance (footer entries, handle
 	// entries, page bytes). Zero fields select the defaults.
@@ -908,7 +915,8 @@ func NewResilientBackend(b StorageBackend, opts *ResilienceOptions) *ResilientBa
 }
 
 // NewCache builds a private ArtifactCache for DatasetOptions.Cache —
-// isolation from the process-wide shared cache, or bespoke sizing.
+// isolation from the process-wide shared cache, or bespoke sizing. The
+// caller closes it once no dataset uses it.
 func NewCache(opts CacheOptions) *ArtifactCache { return cache.New(opts) }
 
 // SharedCache returns the process-wide ArtifactCache that datasets use

@@ -1,24 +1,27 @@
-// Package cache is the process-wide cache of immutable dataset
-// artifacts. Bullion member files are immutable once written (deletes
-// flip footer bits and bump the manifest's live-row accounting, so a
-// changed member always changes its version key), which makes caching
-// across Dataset handles and generations safe and invalidation trivial:
-// a key either still names exactly the bytes it was filled from, or it
-// is never asked for again.
+// Package cache is the process-wide cache of dataset member artifacts.
+// Every entry is keyed by a member version (Key): the dataset layer
+// derives Version from the manifest entry's row, live-row and byte
+// accounting plus the backend ETag, so a member rewritten in place (a
+// Delete flipping its footer's deletion bits) or replaced outright
+// is looked up under a new key and its stale entries are never hit
+// again; they age out of the LRUs or are dropped by Invalidate.
 //
 // Three tiers share one capacity-bounded Cache:
 //
 //   - Artifacts: parsed footers (and anything else derived once from
-//     immutable bytes), entry-count LRU with singleflight — a stampede
+//     a member version), entry-count LRU with singleflight — a stampede
 //     of N cold scans of one member pays one parse, and one backend
 //     read of the footer, total.
 //   - Handles: open backend files, a refcounted LRU. Hot members skip
 //     re-open entirely — critical for HTTP backends where open is a
 //     HEAD round-trip — while the LRU bounds live file handles.
-//   - Pages: a segmented-LRU (2Q) byte cache over coalesced page runs,
-//     with per-root byte budgets.
+//   - Pages: a plain LRU byte cache over exact coalesced page runs,
+//     bounded by the one global Options.PageBytes budget.
 //
-// A zero Cache value is not usable; construct with New or use the
+// A nil *Cache is a valid "no cache": AcquireHandle opens directly (the
+// lease's Release closes the file), Artifact parses, Reader returns the
+// reader it was given, Invalidate does nothing and Stats is zero. A
+// zero Cache value is not usable; construct with New or use the
 // process-wide Shared instance.
 package cache
 
@@ -30,7 +33,7 @@ import (
 	"bullion/internal/storage"
 )
 
-// Key identifies one immutable version of one member file. Root is the
+// Key identifies one version of one member file. Root is the
 // backend identity (storage.Backend.Root), Name the member file name,
 // and Version a discriminator derived from the manifest entry (rows,
 // live rows, bytes, schema fingerprint) plus the backend ETag when one
@@ -77,7 +80,7 @@ type Stats struct {
 	HandleHits   int64
 	HandleMisses int64
 	// PageHits/Misses count page-tier reads; PageEvictions entries
-	// evicted to stay inside the byte budgets.
+	// evicted to stay inside the byte budget.
 	PageHits      int64
 	PageMisses    int64
 	PageEvictions int64
@@ -109,14 +112,10 @@ type Cache struct {
 	handles map[Key]*handleEntry
 	hLRU    *list.List // of *handleEntry; front = MRU; excludes in-flight opens
 
-	pMu        sync.Mutex
-	runs       map[runKey]*runEntry
-	probation  *list.List // of *runEntry
-	protected  *list.List // of *runEntry
-	pageBytes  int64
-	protBytes  int64
-	rootBytes  map[string]int64
-	rootBudget map[string]int64
+	pMu       sync.Mutex
+	runs      map[runKey]*runEntry
+	pageLRU   *list.List // of *runEntry; front = MRU
+	pageBytes int64
 }
 
 // New returns a Cache with the given capacities (zero fields take the
@@ -132,16 +131,13 @@ func New(opts Options) *Cache {
 		opts.PageBytes = DefaultPageBytes
 	}
 	return &Cache{
-		opts:       opts,
-		arts:       map[Key]*artifactEntry{},
-		artLRU:     list.New(),
-		handles:    map[Key]*handleEntry{},
-		hLRU:       list.New(),
-		runs:       map[runKey]*runEntry{},
-		probation:  list.New(),
-		protected:  list.New(),
-		rootBytes:  map[string]int64{},
-		rootBudget: map[string]int64{},
+		opts:    opts,
+		arts:    map[Key]*artifactEntry{},
+		artLRU:  list.New(),
+		handles: map[Key]*handleEntry{},
+		hLRU:    list.New(),
+		runs:    map[runKey]*runEntry{},
+		pageLRU: list.New(),
 	}
 }
 
@@ -156,8 +152,11 @@ func Shared() *Cache {
 	return shared
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters (zero for a nil Cache).
 func (c *Cache) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
 	s := Stats{
 		FooterHits:    atomic.LoadInt64(&c.footerHits),
 		FooterMisses:  atomic.LoadInt64(&c.footerMisses),
@@ -193,8 +192,12 @@ type artifactEntry struct {
 // Artifact returns the cached artifact for k, running parse (at most
 // once per key across all concurrent callers — singleflight) to fill a
 // miss. A failed parse is not cached: the next call re-attempts, so a
-// transient backend error never poisons the key.
+// transient backend error never poisons the key. A nil Cache just
+// calls parse.
 func (c *Cache) Artifact(k Key, parse func() (any, error)) (any, error) {
+	if c == nil {
+		return parse()
+	}
 	c.artMu.Lock()
 	if e, ok := c.arts[k]; ok {
 		c.artLRU.MoveToFront(e.elem)
@@ -254,10 +257,11 @@ type handleEntry struct {
 }
 
 // HandleLease is one reference to a cached open backend file. The file
-// must not be used after Release; Close is an alias for Release (err
-// always nil) so a lease can stand in for the file in Closer lists.
+// must not be used after Release; Close is Release returning the file's
+// close error when this release closed it, so a lease can stand in for
+// the file in Closer lists. A lease from a nil Cache owns its file.
 type HandleLease struct {
-	c        *Cache
+	c        *Cache // nil: uncached, the lease owns the file
 	e        *handleEntry
 	released atomic.Bool
 }
@@ -269,11 +273,22 @@ func (l *HandleLease) File() storage.File { return l.e.file }
 func (l *HandleLease) Size() int64 { return l.e.size }
 
 // Release returns the lease. Idempotent.
-func (l *HandleLease) Release() {
+func (l *HandleLease) Release() { l.release() }
+
+// Close releases the lease and reports the error of closing the file
+// when this was the release that closed it (always the case for a
+// lease from a nil Cache; for a cached file, only the last release of
+// an evicted or invalidated handle).
+func (l *HandleLease) Close() error { return l.release() }
+
+func (l *HandleLease) release() error {
 	if l.released.Swap(true) {
-		return
+		return nil
 	}
 	c, e := l.c, l.e
+	if c == nil {
+		return e.file.Close()
+	}
 	c.hMu.Lock()
 	e.refs--
 	var toClose storage.File
@@ -283,14 +298,8 @@ func (l *HandleLease) Release() {
 	}
 	c.hMu.Unlock()
 	if toClose != nil {
-		toClose.Close()
+		return toClose.Close()
 	}
-}
-
-// Close releases the lease (never closes the shared file directly) and
-// always returns nil, satisfying io.Closer.
-func (l *HandleLease) Close() error {
-	l.Release()
 	return nil
 }
 
@@ -298,8 +307,16 @@ func (l *HandleLease) Close() error {
 // most once per key across concurrent callers) on a miss. Open errors
 // are not cached. The caller must Release the lease; the cache closes
 // the underlying file when it is evicted or invalidated and the last
-// lease is gone.
+// lease is gone. A nil Cache calls open and hands the file to the
+// lease, whose Release closes it.
 func (c *Cache) AcquireHandle(k Key, open func() (storage.File, int64, error)) (*HandleLease, error) {
+	if c == nil {
+		f, size, err := open()
+		if err != nil {
+			return nil, err
+		}
+		return &HandleLease{e: &handleEntry{file: f, size: size}}, nil
+	}
 	c.hMu.Lock()
 	if e, ok := c.handles[k]; ok {
 		e.refs++
@@ -378,7 +395,11 @@ func (c *Cache) evictHandlesLocked() {
 // Vacuum removes a file. Leased handles are doomed and closed on their
 // last Release; in-flight parses are unaffected (their key can no
 // longer be current, so they fill an entry nobody asks for again).
+// Invalidate on a nil Cache does nothing.
 func (c *Cache) Invalidate(root, name string) {
+	if c == nil {
+		return
+	}
 	dropped := false
 	c.artMu.Lock()
 	for k, e := range c.arts {
@@ -428,8 +449,8 @@ func (c *Cache) Invalidate(root, name string) {
 
 // Close drops every entry and closes every cached file handle not
 // currently leased (leased ones close on their last Release). Meant for
-// private per-dataset caches and tests; the Shared cache is never
-// closed.
+// private caches (passed to datasets by their owner, who closes them
+// after the datasets) and tests; the Shared cache is never closed.
 func (c *Cache) Close() error {
 	var toClose []storage.File
 	c.hMu.Lock()
@@ -458,10 +479,8 @@ func (c *Cache) Close() error {
 	c.artMu.Unlock()
 	c.pMu.Lock()
 	c.runs = map[runKey]*runEntry{}
-	c.probation.Init()
-	c.protected.Init()
-	c.pageBytes, c.protBytes = 0, 0
-	c.rootBytes = map[string]int64{}
+	c.pageLRU.Init()
+	c.pageBytes = 0
 	c.pMu.Unlock()
 	return first
 }

@@ -321,57 +321,99 @@ type readerFunc func(p []byte, off int64) (int, error)
 
 func (f readerFunc) ReadAt(p []byte, off int64) (int, error) { return f(p, off) }
 
-func TestPage2QScanResistance(t *testing.T) {
-	// Budget fits 4 x 100-byte runs. A hot run touched twice is
-	// protected; a subsequent one-shot sweep must evict probation
-	// entries, never the hot run.
-	c := New(Options{PageBytes: 400})
-	f := &fakeFile{data: bytes.Repeat([]byte{9}, 4096)}
+func TestPageTierInterleavedStreams(t *testing.T) {
+	// The training-epoch access shape: 3 shuffled shards stream
+	// interleaved, each batch reads 2 runs, and each run serves 4
+	// consecutive batches of its stream before the stream moves on to
+	// its next group of runs. The budget fits 10 runs, the live working
+	// set is 6, so every run should miss exactly once: 96 backend reads
+	// out of 384, a hit ratio of 0.75.
+	const (
+		runBytes   = 100
+		streams    = 3
+		groups     = 16
+		runsPer    = 2
+		batchesPer = 4
+	)
+	c := New(Options{PageBytes: 10 * runBytes})
+	f := &fakeFile{data: bytes.Repeat([]byte{9}, streams*groups*runsPer*runBytes)}
 	r := c.Reader(key("m", "v"), f, nil)
-	hot := make([]byte, 100)
-	r.ReadAt(hot, 0) // miss: probation
-	r.ReadAt(hot, 0) // hit: promote to protected
-	for i := 1; i <= 8; i++ {
-		r.ReadAt(make([]byte, 100), int64(i*100)) // one-shot sweep
-	}
-	base := f.reads.Load()
-	if n, err := r.ReadAt(hot, 0); n != 100 || err != nil {
-		t.Fatalf("hot read = (%d, %v)", n, err)
-	}
-	if f.reads.Load() != base {
-		t.Fatal("scan traffic flushed the protected hot run")
+	buf := make([]byte, runBytes)
+	reads := 0
+	for g := 0; g < groups; g++ {
+		for b := 0; b < batchesPer; b++ {
+			for s := 0; s < streams; s++ {
+				for j := 0; j < runsPer; j++ {
+					off := int64(((s*groups+g)*runsPer + j) * runBytes)
+					if n, err := r.ReadAt(buf, off); n != runBytes || err != nil {
+						t.Fatalf("read at %d = (%d, %v)", off, n, err)
+					}
+					reads++
+				}
+			}
+		}
 	}
 	st := c.Stats()
-	if st.PageBytes > 400 {
-		t.Fatalf("PageBytes = %d exceeds budget 400", st.PageBytes)
+	ratio := float64(st.PageHits) / float64(st.PageHits+st.PageMisses)
+	t.Logf("%d reads, %d reached the backend, page hit ratio %.3f", reads, f.reads.Load(), ratio)
+	if ratio != 0.75 {
+		t.Fatalf("page hit ratio = %.3f (%d hits / %d misses), want 0.75", ratio, st.PageHits, st.PageMisses)
+	}
+	if got, want := f.reads.Load(), int64(streams*groups*runsPer); got != want {
+		t.Fatalf("backend reads = %d, want %d (one per run)", got, want)
+	}
+	if st.PageBytes > 10*runBytes {
+		t.Fatalf("PageBytes = %d exceeds budget %d", st.PageBytes, 10*runBytes)
 	}
 	if st.PageEvictions == 0 {
-		t.Fatal("sweep over budget evicted nothing")
+		t.Fatal("streaming over budget evicted nothing")
 	}
 }
 
-func TestRootBudget(t *testing.T) {
-	c := New(Options{PageBytes: 1 << 20})
-	f := &fakeFile{data: bytes.Repeat([]byte{5}, 4096)}
-	c.SetRootBudget("root", 300)
-	r := c.Reader(key("m", "v"), f, nil)
-	for i := 0; i < 8; i++ {
-		r.ReadAt(make([]byte, 100), int64(i*100))
+func TestNilCacheIsNoCache(t *testing.T) {
+	var c *Cache
+	parses := 0
+	for i := 0; i < 2; i++ {
+		v, err := c.Artifact(key("m", "v"), func() (any, error) { parses++; return "footer", nil })
+		if err != nil || v != "footer" {
+			t.Fatalf("Artifact = (%v, %v)", v, err)
+		}
 	}
-	c.pMu.Lock()
-	got := c.rootBytes["root"]
-	c.pMu.Unlock()
-	if got > 300 {
-		t.Fatalf("root bytes %d exceed budget 300", got)
+	if parses != 2 {
+		t.Fatalf("nil cache parsed %d times, want 2 (no memoization)", parses)
 	}
-	// Other roots are not constrained by this root's budget.
-	r2 := c.Reader(Key{Root: "other", Name: "m", Version: "v"}, f, nil)
-	r2.ReadAt(make([]byte, 512), 0)
-	base := f.reads.Load()
-	r2.ReadAt(make([]byte, 512), 0)
-	if f.reads.Load() != base {
-		t.Fatal("unbudgeted root failed to cache")
+
+	f := &fakeFile{data: []byte("hello")}
+	l, err := c.AcquireHandle(key("m", "v"), func() (storage.File, int64, error) { return f, 5, nil })
+	if err != nil {
+		t.Fatal(err)
 	}
+	if l.File() != f || l.Size() != 5 {
+		t.Fatal("nil-cache lease does not expose the opened file")
+	}
+	boom := errors.New("open failed")
+	if _, err := c.AcquireHandle(key("m", "v"), func() (storage.File, int64, error) {
+		return nil, 0, boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("open error = %v, want %v", err, boom)
+	}
+	if r := c.Reader(key("m", "v"), f, nil); r != io.ReaderAt(f) {
+		t.Fatal("nil-cache Reader wrapped its reader")
+	}
+	c.Invalidate("root", "m")
+	if st := c.Stats(); st != (Stats{}) {
+		t.Fatalf("nil-cache Stats = %+v, want zero", st)
+	}
+	if f.closed.Load() {
+		t.Fatal("file closed before its lease was released")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !f.closed.Load() {
+		t.Fatal("releasing a nil-cache lease left its file open")
+	}
+	l.Release() // idempotent
 }
 
 func TestCloseDropsEverything(t *testing.T) {

@@ -6,18 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// The page tier is a segmented LRU (the classic 2Q shape): a miss
-// enters probation, a second touch promotes to protected, and eviction
-// always takes the probation tail first — one-shot scan traffic cannot
-// flush the hot set. Entries are exact coalesced runs keyed by
-// (member version, offset, length): the read planner is deterministic
-// for a given projection and filter set, so repeated scans ask for
-// byte-identical runs and exact matching hits without any range
-// arithmetic.
-
-// protectedShare is the fraction of the page budget the protected
-// segment may hold before demoting back into probation.
-const protectedShare = 0.8
+// The page tier is a plain LRU over exact coalesced runs keyed by
+// (member version, offset, length), bounded by Options.PageBytes: a hit
+// moves the run to the front and eviction takes the tail. The read
+// planner is deterministic for a given projection and filter set, so
+// repeated scans ask for byte-identical runs and exact matching hits
+// without any range arithmetic. A training epoch re-reads each run for
+// the few consecutive batches that share its pages, which recency
+// serves directly.
 
 type runKey struct {
 	k   Key
@@ -29,95 +25,13 @@ type runEntry struct {
 	key  runKey
 	data []byte
 	elem *list.Element
-	prot bool
 }
 
-// SetRootBudget caps the page-tier bytes attributable to one backend
-// root — the per-dataset budget knob. bytes <= 0 removes the budget. The
-// global PageBytes cap always applies on top.
-func (c *Cache) SetRootBudget(root string, bytes int64) {
-	c.pMu.Lock()
-	if bytes <= 0 {
-		delete(c.rootBudget, root)
-	} else {
-		c.rootBudget[root] = bytes
-		c.enforceBudgetsLocked(root)
-	}
-	c.pMu.Unlock()
-}
-
-// removeRunLocked unlinks e from its segment and the accounting.
+// removeRunLocked unlinks e from the LRU and the accounting.
 func (c *Cache) removeRunLocked(e *runEntry) {
-	if e.prot {
-		c.protected.Remove(e.elem)
-		c.protBytes -= int64(len(e.data))
-	} else {
-		c.probation.Remove(e.elem)
-	}
+	c.pageLRU.Remove(e.elem)
 	delete(c.runs, e.key)
-	n := int64(len(e.data))
-	c.pageBytes -= n
-	c.rootBytes[e.key.k.Root] -= n
-}
-
-// evictOneLocked evicts the least-valuable run, preferring the
-// probation tail, optionally restricted to one root. Reports whether
-// anything was evicted.
-func (c *Cache) evictOneLocked(root string, any bool) bool {
-	for _, l := range []*list.List{c.probation, c.protected} {
-		for el := l.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*runEntry)
-			if !any && e.key.k.Root != root {
-				continue
-			}
-			c.removeRunLocked(e)
-			atomic.AddInt64(&c.pageEvictions, 1)
-			return true
-		}
-	}
-	return false
-}
-
-// enforceBudgetsLocked evicts until root's budget (when set) and the
-// global budget hold.
-func (c *Cache) enforceBudgetsLocked(root string) {
-	if budget, ok := c.rootBudget[root]; ok {
-		for c.rootBytes[root] > budget {
-			if !c.evictOneLocked(root, false) {
-				break
-			}
-		}
-	}
-	for c.pageBytes > c.opts.PageBytes {
-		if !c.evictOneLocked("", true) {
-			break
-		}
-	}
-}
-
-// touchRunLocked records a hit: probation -> protected promotion, with
-// protected overflow demoting its tail back to probation's MRU end.
-func (c *Cache) touchRunLocked(e *runEntry) {
-	if e.prot {
-		c.protected.MoveToFront(e.elem)
-		return
-	}
-	c.probation.Remove(e.elem)
-	e.prot = true
-	e.elem = c.protected.PushFront(e)
-	c.protBytes += int64(len(e.data))
-	protCap := int64(float64(c.opts.PageBytes) * protectedShare)
-	for c.protBytes > protCap {
-		back := c.protected.Back()
-		if back == nil {
-			break
-		}
-		de := back.Value.(*runEntry)
-		c.protected.Remove(back)
-		de.prot = false
-		de.elem = c.probation.PushFront(de)
-		c.protBytes -= int64(len(de.data))
-	}
+	c.pageBytes -= int64(len(e.data))
 }
 
 // lookupRun copies a cached exact run [off, off+len(p)) into p,
@@ -130,52 +44,47 @@ func (c *Cache) lookupRun(k Key, p []byte, off int64) bool {
 		return false
 	}
 	copy(p, e.data)
-	c.touchRunLocked(e)
+	c.pageLRU.MoveToFront(e.elem)
 	c.pMu.Unlock()
 	atomic.AddInt64(&c.pageHits, 1)
 	return true
 }
 
-// insertRun stores a full successful read. Oversized runs (bigger than
-// the whole budget) are never cached.
+// insertRun stores a full successful read, evicting from the LRU tail
+// until the budget holds. Oversized runs (bigger than the whole budget)
+// are never cached.
 func (c *Cache) insertRun(k Key, off int64, data []byte) {
 	n := int64(len(data))
 	if n == 0 || n > c.opts.PageBytes {
 		return
 	}
-	if budget, ok := c.budgetFor(k.Root); ok && n > budget {
-		return
-	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	c.pMu.Lock()
+	defer c.pMu.Unlock()
 	rk := runKey{k: k, off: off, n: len(data)}
 	if _, ok := c.runs[rk]; ok {
-		c.pMu.Unlock()
 		return
 	}
 	e := &runEntry{key: rk, data: cp}
-	e.elem = c.probation.PushFront(e)
+	e.elem = c.pageLRU.PushFront(e)
 	c.runs[rk] = e
 	c.pageBytes += n
-	c.rootBytes[k.Root] += n
-	c.enforceBudgetsLocked(k.Root)
-	c.pMu.Unlock()
-}
-
-func (c *Cache) budgetFor(root string) (int64, bool) {
-	c.pMu.Lock()
-	b, ok := c.rootBudget[root]
-	c.pMu.Unlock()
-	return b, ok
+	for c.pageBytes > c.opts.PageBytes {
+		c.removeRunLocked(c.pageLRU.Back().Value.(*runEntry))
+		atomic.AddInt64(&c.pageEvictions, 1)
+	}
 }
 
 // Reader wraps under with the page tier: ReadAt serves cached runs from
 // memory and fills the cache from full successful reads. onErr, when
 // non-nil, observes every error under returns (besides io.EOF) — the
 // dataset layer uses it to invalidate a member whose backing object was
-// replaced under its cached runs.
+// replaced under its cached runs. A nil Cache returns under itself.
 func (c *Cache) Reader(k Key, under io.ReaderAt, onErr func(error)) io.ReaderAt {
+	if c == nil {
+		return under
+	}
 	return &cachedReader{c: c, k: k, under: under, onErr: onErr}
 }
 

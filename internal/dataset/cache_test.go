@@ -4,7 +4,7 @@ package dataset
 // semantics across concurrent Dataset handles, version-keyed
 // invalidation (a replaced remote member can never serve stale bytes),
 // race/leak behavior under concurrent open/scan/close/vacuum, and
-// byte-identical scans with caching on, off, and pinned.
+// byte-identical scans with caching off, shared, private and evicting.
 
 import (
 	"errors"
@@ -321,33 +321,67 @@ func TestCacheConcurrentLifecycle(t *testing.T) {
 }
 
 // TestCacheGoldenEquivalence: the same scan through every cache
-// configuration — disabled, shared cold, shared warm, private — yields
-// byte-identical rows.
+// configuration — disabled, shared cold, shared warm, private, and a
+// private cache whose page budget holds a small fraction of the scan's
+// runs (so every pass evicts constantly) — yields byte-identical rows.
+// The fixture uses 16-row pages, 64-row groups and 64-row batches so
+// each member scan is several coalesced runs, not one.
 func TestCacheGoldenEquivalence(t *testing.T) {
 	const nFiles, rows = 3, 400
-	dir := buildLocalDataset(t, nFiles, rows)
+	dir := t.TempDir()
+	w := core.DefaultOptions()
+	w.Compliance = core.Level1
+	w.RowsPerPage, w.GroupRows = 16, 64
+	d, err := Create(dir, testSchema(t), &Options{Writer: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nFiles; i++ {
+		if err := d.Append(keyBatch(t, d.Schema(), i*rows, rows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
 
 	golden := scanAll(t, dir, &Options{DisableCache: true})
-	for name, opts := range map[string]*Options{
-		"shared":  nil,
-		"private": {FooterCacheEntries: 32},
+	if len(golden) != nFiles*rows {
+		t.Fatalf("golden scan: %d rows, want %d", len(golden), nFiles*rows)
+	}
+	private := cache.New(cache.Options{FooterEntries: 32})
+	defer private.Close()
+	evicting := cache.New(cache.Options{PageBytes: 512})
+	defer evicting.Close()
+	for _, cfg := range []struct {
+		name string
+		opts *Options
+	}{
+		{"shared", nil},
+		{"private", &Options{Cache: private}},
+		{"evicting", &Options{Cache: evicting}},
 	} {
-		got := scanAll(t, dir, opts)
-		if len(got) != len(golden) {
-			t.Fatalf("%s: %d rows, want %d", name, len(got), len(golden))
-		}
-		for i := range got {
-			if got[i] != golden[i] {
-				t.Fatalf("%s: row %d = %q, want %q", name, i, got[i], golden[i])
-			}
-		}
 		// Scan twice: the warm pass must match too.
-		warm := scanAll(t, dir, opts)
-		for i := range warm {
-			if warm[i] != golden[i] {
-				t.Fatalf("%s warm: row %d = %q, want %q", name, i, warm[i], golden[i])
+		for _, pass := range []string{"cold", "warm"} {
+			got := scanAll(t, dir, cfg.opts)
+			if len(got) != len(golden) {
+				t.Fatalf("%s %s: %d rows, want %d", cfg.name, pass, len(got), len(golden))
+			}
+			for i := range got {
+				if got[i] != golden[i] {
+					t.Fatalf("%s %s: row %d = %q, want %q", cfg.name, pass, i, got[i], golden[i])
+				}
 			}
 		}
+	}
+	// The evicting cache really ran under pressure: it cached runs,
+	// evicted most of them, and the warm pass still missed.
+	st := evicting.Stats()
+	t.Logf("evicting cache: %d page misses, %d hits, %d evictions, %d bytes held",
+		st.PageMisses, st.PageHits, st.PageEvictions, st.PageBytes)
+	if st.PageEvictions < st.PageMisses/2 || st.PageMisses <= st.PageHits {
+		t.Fatalf("evicting cache not under pressure: %+v", st)
+	}
+	if st.PageBytes > 512 {
+		t.Fatalf("evicting cache holds %d bytes, budget 512", st.PageBytes)
 	}
 }
 
@@ -359,7 +393,7 @@ func scanAll(t *testing.T, dir string, opts *Options) []string {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	sc, err := d.Scan(ScanOptions{})
+	sc, err := d.Scan(ScanOptions{ScanOptions: core.ScanOptions{BatchRows: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,14 @@ package dataset
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"bullion/internal/core"
 )
 
 // TestConcurrentCommitCAS races two handles of the same directory
@@ -151,5 +157,94 @@ func TestCompactLosesCASToWriter(t *testing.T) {
 	}
 	if len(rep.OrphanParts) != 0 {
 		t.Fatalf("lost compact left rewritten files behind: %v", rep.OrphanParts)
+	}
+}
+
+// TestSymlinkHandlesShareCommitLock races committers that open the same
+// directory by two paths, the directory itself and a symlink to it. The
+// commit CAS is serialized per backend root, so both paths must resolve
+// to one root: every Append either lands or fails with a clean
+// ErrGenerationConflict, no acknowledged row is lost, and the result
+// passes a deep fsck.
+func TestSymlinkHandlesShareCommitLock(t *testing.T) {
+	const perWriter, rows = 40, 10
+	dir := filepath.Join(t.TempDir(), "ds")
+	d, err := Create(dir, testSchema(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	link := filepath.Join(t.TempDir(), "ds-link")
+	if err := os.Symlink(dir, link); err != nil {
+		t.Skipf("symlinks unsupported: %v", err)
+	}
+
+	// Writer w appends keys [(w*perWriter+i)*rows, +rows) on its i-th
+	// attempt, so every acknowledged row is attributable.
+	paths := []string{dir, link}
+	batches := make([][]*core.Batch, len(paths))
+	for w := range paths {
+		for i := 0; i < perWriter; i++ {
+			batches[w] = append(batches[w], keyBatch(t, testSchema(t), (w*perWriter+i)*rows, rows))
+		}
+	}
+	var (
+		mu         sync.Mutex
+		acked      []int64
+		conflicts  int
+		unexpected []error
+		wg         sync.WaitGroup
+	)
+	for w, path := range paths {
+		wg.Add(1)
+		go func(w int, path string) {
+			defer wg.Done()
+			for i, batch := range batches[w] {
+				h, err := Open(path, &Options{DisableRecoverySweep: true})
+				if err == nil {
+					err = h.Append(batch)
+					h.Close()
+				}
+				base := int64((w*perWriter + i) * rows)
+				mu.Lock()
+				switch {
+				case err == nil:
+					acked = append(acked, wantKeys(base, base+rows)...)
+				case errors.Is(err, ErrGenerationConflict):
+					conflicts++
+				default:
+					unexpected = append(unexpected, err)
+				}
+				mu.Unlock()
+			}
+		}(w, path)
+	}
+	wg.Wait()
+	t.Logf("%d appends acked, %d generation conflicts", len(acked)/rows, conflicts)
+	if len(unexpected) > 0 {
+		t.Fatalf("%d appends failed with errors other than ErrGenerationConflict; first: %v",
+			len(unexpected), unexpected[0])
+	}
+
+	reopened, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	keys, err := scanKeyVals(reopened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	sort.Slice(acked, func(i, j int) bool { return acked[i] < acked[j] })
+	if err := verifyLiveKeys(keys, acked, nil); err != nil {
+		t.Fatalf("%d rows survive for %d acked: %v", len(keys), len(acked), err)
+	}
+	rep, err := Fsck(dir, nil, true)
+	if err != nil {
+		t.Fatalf("deep fsck: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("deep fsck errors: %v", rep.Errors)
 	}
 }

@@ -43,25 +43,17 @@ type Options struct {
 	DisableRecoverySweep bool
 	// Cache overrides the shared artifact cache member opens flow
 	// through (parsed footers, open handles, page bytes — see
-	// internal/cache). Nil selects the process-wide shared cache, except
-	// when Backend is set: a caller-supplied backend may simulate faults
-	// or power cuts that violate the cache's member-immutability
-	// contract, so custom backends run uncached unless a Cache is passed
-	// explicitly. Set DisableCache to bypass caching entirely.
+	// internal/cache). Pass cache.New(...) for a private cache; its
+	// owner closes it after the datasets using it. Nil selects the
+	// process-wide shared cache, except when Backend is set: a
+	// caller-supplied backend may simulate faults or power cuts that
+	// change member bytes without changing their version keys, so
+	// custom backends run uncached unless a Cache is passed explicitly.
 	Cache *cache.Cache
 	// DisableCache bypasses the artifact cache: every member open reads
 	// and parses its footer from the backend, and page reads always hit
 	// storage. Scans are byte-identical either way.
 	DisableCache bool
-	// CacheBytes caps the page-cache bytes this dataset's members may
-	// hold (a per-root budget on whichever cache is in use; 0 = no
-	// per-dataset cap, only the cache's global budget applies).
-	CacheBytes int64
-	// FooterCacheEntries sizes the parsed-footer tier. Because entry
-	// caps are a property of the cache, setting this without an explicit
-	// Cache gives the dataset a private cache (sized with CacheBytes
-	// when that is also set) instead of resizing the shared one.
-	FooterCacheEntries int
 }
 
 // Dataset is a handle over a manifest-backed multi-file table. Scans may
@@ -73,10 +65,9 @@ type Dataset struct {
 	opts    Options
 	backend storage.Backend
 
-	// cache is the artifact cache member opens flow through (nil =
-	// uncached); ownsCache marks a private cache Close must tear down.
-	cache     *cache.Cache
-	ownsCache bool
+	// cache is the artifact cache member opens flow through; nil is
+	// the uncached cache (see internal/cache).
+	cache *cache.Cache
 
 	// mu serializes mutators (Append/ShardedWriter commit/Delete/Compact).
 	mu sync.Mutex
@@ -199,11 +190,8 @@ func memberVersion(e *FileEntry) string {
 // artifact cache (one core footer parse — and its two backend reads —
 // per member version process-wide, singleflighted), and the page cache
 // (scan runs served from memory on rescans). With no cache configured
-// it opens directly.
+// (a nil d.cache) every tier passes straight through to the backend.
 func (d *Dataset) openMember(e *FileEntry) (*core.File, error) {
-	if d.cache == nil {
-		return d.openMemberDirect(e)
-	}
 	hk := cache.Key{Root: d.backend.Root(), Name: e.Name, Version: memberVersion(e)}
 	lease, err := d.cache.AcquireHandle(hk, func() (storage.File, int64, error) {
 		return d.backend.ReadAt(e.Name)
@@ -248,31 +236,6 @@ func (d *Dataset) openMember(e *FileEntry) (*core.File, error) {
 	f := core.OpenWithFooter(d.cache.Reader(ck, r, onErr), ftr)
 	if err := checkMember(f, e); err != nil {
 		lease.Release()
-		return nil, err
-	}
-	return f, nil
-}
-
-// openMemberDirect is the uncached open path (DisableCache, or a
-// custom backend without an explicit cache).
-func (d *Dataset) openMemberDirect(e *FileEntry) (*core.File, error) {
-	sf, size, err := d.backend.ReadAt(e.Name)
-	if err != nil {
-		return nil, err
-	}
-	if !d.track(sf) {
-		sf.Close()
-		return nil, fmt.Errorf("dataset: %s: dataset closed", e.Name)
-	}
-	var r io.ReaderAt = sf
-	if d.opts.WrapReader != nil {
-		r = d.opts.WrapReader(e.Name, r, size)
-	}
-	f, err := core.Open(r, size)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: opening member %s: %w", e.Name, err)
-	}
-	if err := checkMember(f, e); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -472,9 +435,8 @@ func sweepTempDebris(b storage.Backend) []string {
 }
 
 // resolveCache applies the Options cache policy (see Options.Cache):
-// explicit instance > disabled > private (sizing knobs without an
-// instance) > process-wide shared, with custom backends defaulting to
-// uncached. CacheBytes becomes this root's page budget either way.
+// disabled > explicit instance > process-wide shared, with custom
+// backends defaulting to uncached.
 func (d *Dataset) resolveCache() {
 	o := &d.opts
 	switch {
@@ -482,35 +444,21 @@ func (d *Dataset) resolveCache() {
 		d.cache = nil
 	case o.Cache != nil:
 		d.cache = o.Cache
-	case o.FooterCacheEntries > 0:
-		d.cache = cache.New(cache.Options{
-			FooterEntries: o.FooterCacheEntries,
-			PageBytes:     o.CacheBytes,
-		})
-		d.ownsCache = true
 	case o.Backend != nil:
 		// A substituted backend (fault injection, power-cut simulation)
-		// may break the immutable-member contract the cache keys rely
-		// on: stay uncached unless the caller opts in with Cache.
+		// may change member bytes under an unchanged version key: stay
+		// uncached unless the caller opts in with Cache.
 		d.cache = nil
 	default:
 		d.cache = cache.Shared()
 	}
-	if d.cache != nil && o.CacheBytes > 0 {
-		d.cache.SetRootBudget(d.backend.Root(), o.CacheBytes)
-	}
 }
 
 // CacheStats snapshots the artifact cache serving this dataset (the
-// shared process-wide cache unless Options selected a private one or
+// shared process-wide cache unless Options passed a private one or
 // disabled caching; zero when disabled). Counters are cache-wide, so
 // they include work other datasets sharing the cache performed.
-func (d *Dataset) CacheStats() cache.Stats {
-	if d.cache == nil {
-		return cache.Stats{}
-	}
-	return d.cache.Stats()
-}
+func (d *Dataset) CacheStats() cache.Stats { return d.cache.Stats() }
 
 // generationSnapshot returns the current generation.
 func (d *Dataset) generationSnapshot() *generation {
@@ -822,12 +770,10 @@ func (d *Dataset) VacuumWithReport() (*VacuumReport, error) {
 			return rep, err
 		}
 		rep.Removed = append(rep.Removed, name)
-		if d.cache != nil {
-			// Drop the removed file's cached artifacts: nothing can hit
-			// them again (its name left every manifest), so they would
-			// only hold handles and bytes until eviction.
-			d.cache.Invalidate(d.backend.Root(), name)
-		}
+		// Drop the removed file's cached artifacts: nothing can hit them
+		// again (its name left every manifest), so they would only hold
+		// handles and bytes until eviction.
+		d.cache.Invalidate(d.backend.Root(), name)
 	}
 	if rep.Removed != nil {
 		// Best-effort: reclamation need not be durable for correctness;
@@ -857,13 +803,5 @@ func (d *Dataset) Close() error {
 		}
 	}
 	d.opened = nil
-	if d.ownsCache {
-		// A private cache (Options.FooterCacheEntries without an explicit
-		// Cache) dies with its dataset; shared caches outlive every
-		// dataset and are never closed here.
-		if err := d.cache.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	return first
 }

@@ -212,10 +212,7 @@ func (d *Dataset) Scan(opts ScanOptions) (*Scanner, error) {
 		s.res = res
 		s.resBase = res.ResilienceStats()
 	}
-	if d.cache != nil {
-		s.cache = d.cache
-		s.cacheBase = d.cache.Stats()
-	}
+	s.cache, s.cacheBase = d.cache, d.cache.Stats()
 	prepared := prepareFilters(opts.Filters)
 	for i, m := range gen.members {
 		fileLo, fileHi := gen.starts[i], gen.starts[i]+m.entry.Rows
@@ -512,17 +509,15 @@ func (s *Scanner) Stats() ScanStats {
 		st.Hedges = cur.Hedges - s.resBase.Hedges
 		st.HedgeWins = cur.HedgeWins - s.resBase.HedgeWins
 	}
-	if s.cache != nil {
-		cur := s.cache.Stats()
-		st.Cache = CacheScanStats{
-			FooterHits:    cur.FooterHits - s.cacheBase.FooterHits,
-			FooterMisses:  cur.FooterMisses - s.cacheBase.FooterMisses,
-			HandleHits:    cur.HandleHits - s.cacheBase.HandleHits,
-			HandleMisses:  cur.HandleMisses - s.cacheBase.HandleMisses,
-			PageHits:      cur.PageHits - s.cacheBase.PageHits,
-			PageMisses:    cur.PageMisses - s.cacheBase.PageMisses,
-			PageEvictions: cur.PageEvictions - s.cacheBase.PageEvictions,
-		}
+	cur := s.cache.Stats()
+	st.Cache = CacheScanStats{
+		FooterHits:    cur.FooterHits - s.cacheBase.FooterHits,
+		FooterMisses:  cur.FooterMisses - s.cacheBase.FooterMisses,
+		HandleHits:    cur.HandleHits - s.cacheBase.HandleHits,
+		HandleMisses:  cur.HandleMisses - s.cacheBase.HandleMisses,
+		PageHits:      cur.PageHits - s.cacheBase.PageHits,
+		PageMisses:    cur.PageMisses - s.cacheBase.PageMisses,
+		PageEvictions: cur.PageEvictions - s.cacheBase.PageEvictions,
 	}
 	return st
 }

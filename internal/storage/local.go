@@ -23,10 +23,17 @@ func NewLocal(dir string) (*Local, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Local{dir: abs}, nil
+	// Root is the directory's identity (commit locks, generation pins
+	// and cache keys are per root), so every path naming the directory,
+	// symlinked or not, must resolve to the same string.
+	resolved, err := filepath.EvalSymlinks(abs)
+	if err != nil {
+		return nil, err
+	}
+	return &Local{dir: resolved}, nil
 }
 
-// Root returns the backend directory's absolute path.
+// Root returns the backend directory's absolute, symlink-free path.
 func (l *Local) Root() string { return l.dir }
 
 func (l *Local) path(name string) (string, error) {
