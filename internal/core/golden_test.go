@@ -499,3 +499,55 @@ func compareGoldenColumn(t *testing.T, name string, got, want ColumnData) {
 		t.Errorf("column %q: decoded data differs from source", name)
 	}
 }
+
+// TestWriterHuffmanDeterministic is the writer-level twin of the enc
+// package's Huffman determinism test: with the cascade restricted to
+// {Plain, Huffman}, an int column whose symbol frequencies tie on every
+// page must serialize to the same bytes (and so the same Merkle leaves)
+// on every write.
+func TestWriterHuffmanDeterministic(t *testing.T) {
+	schema, err := NewSchema(Field{Name: "bucket", Type: Type{Kind: Int64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4000
+	syms := []int64{-3, 7, 40, 41, 1 << 33}
+	col := make(Int64Data, n)
+	for i := range col {
+		col[i] = syms[i%len(syms)]
+	}
+	batch, err := NewBatch(schema, []ColumnData{col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eo := enc.DefaultOptions()
+	eo.Allowed = map[enc.SchemeID]bool{enc.Plain: true, enc.Huffman: true}
+	opts := &Options{RowsPerPage: 250, GroupRows: 1000, Enc: eo}
+	marshal := func() []byte {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, schema, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := marshal()
+	f, err := Open(bytes.NewReader(first), int64(len(first)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist := f.Stats().EncodingHistogram(); hist[enc.Huffman] != n/250 {
+		t.Fatalf("encodings %v: want all %d pages Huffman", hist, n/250)
+	}
+	for i := 0; i < 5; i++ {
+		if again := marshal(); !bytes.Equal(first, again) {
+			t.Fatalf("write %d produced different bytes", i+1)
+		}
+	}
+}

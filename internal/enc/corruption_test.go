@@ -1,7 +1,11 @@
 package enc
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bullion/internal/bitutil"
@@ -150,6 +154,72 @@ func TestNullableDecodersSurviveCorruption(t *testing.T) {
 		noPanic(t, "nullable", func() {
 			_, _, _ = DecodeNullableInts(bad, n)
 		})
+	}
+}
+
+// TestFlateChunksRejectBadLengths pins the errors of the pooled inflater:
+// a chunk sequence that inflates past or short of the expected size, a
+// chunk whose DEFLATE stream is cut short, a chunk length that overruns
+// the buffer, and a size no DEFLATE stream of that length can reach.
+func TestFlateChunksRejectBadLengths(t *testing.T) {
+	raw := chunkInput(rand.New(rand.NewSource(66)), ChunkSize+5000)
+	good, err := appendFlateChunks(nil, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Split the framing to rebuild streams with a damaged first chunk.
+	nChunks, sz := binary.Uvarint(good)
+	if nChunks != 2 {
+		t.Fatalf("%d chunks, want 2", nChunks)
+	}
+	clen, csz := binary.Uvarint(good[sz:])
+	first := good[sz+csz : sz+csz+int(clen)]
+	rest := good[sz+csz+int(clen):]
+	reframe := func(chunk []byte) []byte {
+		out := binary.AppendUvarint(nil, 2)
+		out = binary.AppendUvarint(out, uint64(len(chunk)))
+		return append(append(out, chunk...), rest...)
+	}
+
+	cases := []struct {
+		name string
+		src  []byte
+		want int
+		msg  string
+	}{
+		{"inflates past want", good, len(raw) - 1, fmt.Sprintf("decompressed %d bytes, want %d", len(raw), len(raw)-1)},
+		{"first chunk past want", good, 100, fmt.Sprintf("decompressed %d bytes, want 100", len(raw))},
+		{"inflates short of want", good, len(raw) + 1, fmt.Sprintf("decompressed %d bytes, want %d", len(raw), len(raw)+1)},
+		{"truncated chunk", reframe(first[:len(first)/2]), len(raw), "chunk 0: unexpected EOF"},
+		{"chunk length overruns", good[:len(good)-1], len(raw), "bad chunk 1 length"},
+		{"impossible size", good, 1 << 40, "cannot inflate"},
+	}
+	for _, tc := range cases {
+		out, err := readFlateChunks(tc.src, tc.want)
+		if err == nil {
+			t.Fatalf("%s: accepted (%d bytes)", tc.name, len(out))
+		}
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("%s: error %q, want ErrCorrupt containing %q", tc.name, err, tc.msg)
+		}
+	}
+
+	// The same failures surface through the scheme decoders.
+	vs := make([]int64, 500)
+	for i := range vs {
+		vs[i] = int64(i % 17)
+	}
+	for _, id := range []SchemeID{Chunked, BitShuffle} {
+		encoded, err := EncodeIntsWith(nil, id, vs, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeInts(encoded, len(vs)-1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%v decoded with one value too few: %v", id, err)
+		}
+		if _, err := DecodeInts(encoded, len(vs)+1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%v decoded with one value too many: %v", id, err)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package enc
 
 import (
-	"container/heap"
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"bullion/internal/bitutil"
 )
@@ -19,26 +21,6 @@ import (
 
 const maxHuffmanSymbols = 512
 
-type huffNode struct {
-	freq        int
-	sym         int64
-	left, right *huffNode
-}
-
-type huffHeap []*huffNode
-
-func (h huffHeap) Len() int           { return len(h) }
-func (h huffHeap) Less(i, j int) bool { return h[i].freq < h[j].freq }
-func (h huffHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *huffHeap) Push(x any)        { *h = append(*h, x.(*huffNode)) }
-func (h *huffHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // huffCode is a canonical code assignment for one symbol.
 type huffCode struct {
 	sym    int64
@@ -46,55 +28,123 @@ type huffCode struct {
 	code   uint64 // MSB-first canonical code
 }
 
-func buildHuffmanCodes(vs []int64) ([]huffCode, bool) {
-	freq := make(map[int64]int, maxHuffmanSymbols+1)
-	for _, v := range vs {
-		freq[v]++
-		if len(freq) > maxHuffmanSymbols {
-			return nil, false
-		}
-	}
-	if len(freq) == 0 {
-		return nil, true
-	}
-	h := make(huffHeap, 0, len(freq))
-	for sym, f := range freq {
-		h = append(h, &huffNode{freq: f, sym: sym})
-	}
-	heap.Init(&h)
-	if h.Len() == 1 {
-		// Single symbol: assign a 1-bit code.
-		return []huffCode{{sym: h[0].sym, length: 1}}, true
-	}
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*huffNode)
-		b := heap.Pop(&h).(*huffNode)
-		heap.Push(&h, &huffNode{freq: a.freq + b.freq, left: a, right: b})
-	}
-	root := h[0]
-	var codes []huffCode
-	var walk func(n *huffNode, depth int)
-	walk = func(n *huffNode, depth int) {
-		if n.left == nil {
-			codes = append(codes, huffCode{sym: n.sym, length: depth})
-			return
-		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
-	}
-	walk(root, 0)
-	assignCanonical(codes)
-	return codes, true
+// huffSym is one distinct symbol of an encoder's input.
+type huffSym struct {
+	sym    int64
+	freq   int
+	length int
+	rev    uint64 // canonical code bit-reversed for the LSB-first writer
 }
+
+// huffScratch is the encoder's working set, pooled because the cascade
+// selector runs a Huffman trial on every low-cardinality sample.
+type huffScratch struct {
+	sorted []int64    // sorted copy of the input
+	syms   []huffSym  // distinct symbols, ascending
+	order  []int32    // indices into syms, by (freq, sym)
+	weight []int      // per tree node: leaves first, then merged nodes
+	parent []int32    // per tree node
+	codes  []huffCode // canonical codebook, by (length, sym)
+}
+
+var huffPool = sync.Pool{New: func() any { return new(huffScratch) }}
+
+// build fills h.syms and h.codes with canonical Huffman codes for vs. It
+// reports false when vs has more than maxHuffmanSymbols distinct values.
+//
+// The tree is built by the two-queue method: leaves ordered by
+// (freq, sym), merged nodes in creation order, and a leaf wins a tie with
+// a merged node. Every input therefore maps to exactly one tree, so the
+// encoded bytes are reproducible.
+func (h *huffScratch) build(vs []int64) bool {
+	h.sorted = append(h.sorted[:0], vs...)
+	slices.Sort(h.sorted)
+	h.syms = h.syms[:0]
+	for i := 0; i < len(h.sorted); {
+		j := i + 1
+		for j < len(h.sorted) && h.sorted[j] == h.sorted[i] {
+			j++
+		}
+		if len(h.syms) == maxHuffmanSymbols {
+			return false
+		}
+		h.syms = append(h.syms, huffSym{sym: h.sorted[i], freq: j - i})
+		i = j
+	}
+	if n := len(h.syms); n == 1 {
+		h.syms[0].length = 1 // a lone symbol still needs a 1-bit code
+	} else if n > 1 {
+		h.setLengths()
+	}
+	h.codes = h.codes[:0]
+	for _, s := range h.syms {
+		h.codes = append(h.codes, huffCode{sym: s.sym, length: s.length})
+	}
+	assignCanonical(h.codes)
+	for _, c := range h.codes {
+		k, _ := slices.BinarySearchFunc(h.syms, c.sym, cmpHuffSym)
+		h.syms[k].rev = bits.Reverse64(c.code) >> uint(64-c.length)
+	}
+	return true
+}
+
+// setLengths sets the code length of each of the (two or more) symbols.
+func (h *huffScratch) setLengths() {
+	n := len(h.syms)
+	h.order = h.order[:0]
+	for k := range h.syms {
+		h.order = append(h.order, int32(k))
+	}
+	// Symbol indices ascend with sym, so (freq, index) is (freq, sym).
+	slices.SortFunc(h.order, func(a, b int32) int {
+		if c := cmp.Compare(h.syms[a].freq, h.syms[b].freq); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	nodes := 2*n - 1
+	h.weight = slices.Grow(h.weight[:0], nodes)[:nodes]
+	h.parent = slices.Grow(h.parent[:0], nodes)[:nodes]
+	for x, k := range h.order {
+		h.weight[x] = h.syms[k].freq
+	}
+	leaf, merged := 0, n
+	next := func(made int) int {
+		if leaf < n && (merged == made || h.weight[leaf] <= h.weight[merged]) {
+			leaf++
+			return leaf - 1
+		}
+		merged++
+		return merged - 1
+	}
+	for made := n; made < nodes; made++ {
+		a := next(made)
+		b := next(made)
+		h.weight[made] = h.weight[a] + h.weight[b]
+		h.parent[a], h.parent[b] = int32(made), int32(made)
+	}
+	// Children precede their parent, so one backward pass turns the
+	// weights into depths, starting from the root at depth 0.
+	depth := h.weight
+	depth[nodes-1] = 0
+	for x := nodes - 2; x >= 0; x-- {
+		depth[x] = depth[h.parent[x]] + 1
+	}
+	for x, k := range h.order {
+		h.syms[k].length = depth[x]
+	}
+}
+
+func cmpHuffSym(s huffSym, v int64) int { return cmp.Compare(s.sym, v) }
 
 // assignCanonical sorts codes by (length, symbol) and assigns canonical
 // code values.
 func assignCanonical(codes []huffCode) {
-	sort.Slice(codes, func(i, j int) bool {
-		if codes[i].length != codes[j].length {
-			return codes[i].length < codes[j].length
+	slices.SortFunc(codes, func(a, b huffCode) int {
+		if c := cmp.Compare(a.length, b.length); c != 0 {
+			return c
 		}
-		return codes[i].sym < codes[j].sym
+		return cmp.Compare(a.sym, b.sym)
 	})
 	var code uint64
 	prevLen := 0
@@ -107,26 +157,25 @@ func assignCanonical(codes []huffCode) {
 }
 
 func encodeHuffmanInts(dst []byte, vs []int64) ([]byte, error) {
-	codes, ok := buildHuffmanCodes(vs)
-	if !ok {
+	h := huffPool.Get().(*huffScratch)
+	defer huffPool.Put(h)
+	if !h.build(vs) {
 		return nil, ErrNotApplicable
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(codes)))
-	bySym := make(map[int64]huffCode, len(codes))
-	for _, c := range codes {
+	dst = binary.AppendUvarint(dst, uint64(len(h.codes)))
+	for _, c := range h.codes {
 		dst = binary.AppendVarint(dst, c.sym)
 		dst = append(dst, byte(c.length))
-		bySym[c.sym] = c
 	}
-	w := bitutil.NewWriter(nil)
+	// Codes are defined MSB-first; writing the reversed code puts the MSB
+	// in the LSB-first writer's first bit, as canonical prefix decoding
+	// expects.
+	w := bitutil.NewWriter(dst)
 	for _, v := range vs {
-		c := bySym[v]
-		// Write MSB-first so canonical prefix decoding works.
-		for b := c.length - 1; b >= 0; b-- {
-			w.WriteBit(c.code&(1<<uint(b)) != 0)
-		}
+		k, _ := slices.BinarySearchFunc(h.syms, v, cmpHuffSym)
+		w.WriteBits(h.syms[k].rev, h.syms[k].length)
 	}
-	return append(dst, w.Bytes()...), nil
+	return w.Bytes(), nil
 }
 
 func decodeHuffmanInts(dst []int64, src []byte) ([]int64, error) {

@@ -2,6 +2,7 @@ package enc
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"bullion/internal/bitutil"
 )
@@ -439,6 +440,13 @@ type intStats struct {
 
 const distinctCap = 1024
 
+// countsPool recycles statsOf's value counts: the selector computes stats
+// for every sample it considers, and a fresh (distinctCap+1)-entry map per
+// call is a large short-lived allocation on every ingest path.
+var countsPool = sync.Pool{
+	New: func() any { return make(map[int64]int, distinctCap+1) },
+}
+
 func statsOf(vs []int64) intStats {
 	s := intStats{n: len(vs), sorted: true, deltaSafe: true}
 	if len(vs) == 0 {
@@ -446,7 +454,11 @@ func statsOf(vs []int64) intStats {
 	}
 	s.min, s.max = vs[0], vs[0]
 	s.runs = 1
-	counts := make(map[int64]int, distinctCap+1)
+	counts := countsPool.Get().(map[int64]int)
+	defer func() {
+		clear(counts)
+		countsPool.Put(counts)
+	}()
 	counts[vs[0]] = 1
 	s.majorityN = 1
 	for i := 1; i < len(vs); i++ {
